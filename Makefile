@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt staticcheck bench-smoke bench-json bench-compare serve-smoke dist-smoke shard-identity check figures report
+.PHONY: build test race vet fmt staticcheck perfbench-test bench-smoke bench-json bench-compare serve-smoke dist-smoke shard-identity check figures report
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# perfbench-test vets and tests the repo benchmark (perfbench/), which is a
+# separate Go module that imports the harness API, so neither `go test ./...`
+# nor the targets above build it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-smoke compiles and runs each pinned benchmark once — enough to catch
 # a benchmark that no longer builds or an allocation-guard regression that
@@ -90,9 +96,10 @@ dist-smoke:
 	@sh scripts/dist_smoke.sh
 
 # check is the pre-merge gate: vet + formatting + lint + tests + race
-# detector + sharded-kernel byte-identity + benchmark smoke + daemon smoke +
-# distributed smoke + report-only perf comparison.
-check: vet fmt staticcheck test race shard-identity bench-smoke serve-smoke dist-smoke bench-compare
+# detector + repo-benchmark module tests + sharded-kernel byte-identity +
+# benchmark smoke + daemon smoke + distributed smoke + report-only perf
+# comparison.
+check: vet fmt staticcheck test race perfbench-test shard-identity bench-smoke serve-smoke dist-smoke bench-compare
 
 figures:
 	$(GO) run ./cmd/figures -all

@@ -13,15 +13,14 @@
 //	worker → coordinator   {"type":"error","id":7,"error":"..."}   (cell failed)
 //	coordinator → worker   {"type":"shutdown"}
 //
-// Version 2 adds credit-based pipelining: the hello's credits field
-// advertises how many cells the worker is willing to hold in flight at
-// once, and the coordinator may stream up to that many unanswered cell
-// messages before seeing a result. Results may come back in any order —
-// the cell ID is the correlator — and a result for an ID that is not in
-// flight (a credit overflow, a duplicate, or an invented answer) is a
-// protocol violation. A version-1 peer is still admitted and simply runs
-// at one credit, the old stop-and-wait discipline, so mixed fleets keep
-// working across the upgrade.
+// Dispatch is credit-based: the hello's credits field advertises how many
+// cells the worker is willing to hold in flight at once, and the
+// coordinator may stream up to that many unanswered cell messages before
+// seeing a result. Results may come back in any order — the cell ID is the
+// correlator — and a result for an ID that is not in flight (a credit
+// overflow, a duplicate, or an invented answer) is a protocol violation.
+// Coordinator and worker ship in one binary, so a hello at any other
+// version is rejected outright.
 //
 // Every violation of that grammar — a line that is not JSON, a line over the
 // size cap, an unknown type, a message missing its required fields — is
@@ -41,20 +40,13 @@ import (
 	"io"
 )
 
-// Version is the protocol revision spoken by this build; MinVersion is the
-// oldest revision a coordinator still admits. The cell/result grammar is
-// unchanged since v1 — v2 only adds the hello credits field — so a v1
-// worker executes exactly the same cells as a v2 one and byte-identity is
-// preserved; it just runs at a single credit. Anything outside
-// [MinVersion, Version] is rejected: cells are executed by "the same code
-// on another machine", and an unknown future grammar could silently break
-// the byte-identity guarantee the distributed sweep is built on.
-const (
-	Version    = 2
-	MinVersion = 1
-)
+// Version is the protocol revision spoken by this build, and the only one
+// a coordinator admits: cells are executed by "the same code on another
+// machine", and any other revision's cell grammar could silently break the
+// byte-identity guarantee the distributed sweep is built on.
+const Version = 2
 
-// DefaultCredits is the in-flight cell window a v2 worker advertises when
+// DefaultCredits is the in-flight cell window a worker advertises when
 // none is configured (-dist-depth). Eight cells keeps a connection busy
 // across a full protocol round trip without letting one slow worker hoard
 // a meaningful fraction of a sweep.
@@ -95,10 +87,9 @@ const (
 // know cell schemas — the harness owns those.
 type Msg struct {
 	Type string `json:"type"`
-	// Version and Worker identify a hello. Credits (v2+) advertises the
-	// worker's in-flight cell window; the coordinator streams at most that
-	// many unanswered cells on the connection. A v1 hello has no credits
-	// field and is treated as a window of one.
+	// Version and Worker identify a hello. Credits advertises the worker's
+	// in-flight cell window; the coordinator streams at most that many
+	// unanswered cells on the connection.
 	Version int    `json:"version,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 	Credits int    `json:"credits,omitempty"`
@@ -211,11 +202,8 @@ func (m Msg) validate() error {
 		if m.Version == 0 {
 			return perr(ReasonIncomplete, "hello without version")
 		}
-		if m.Version >= 2 && m.Credits <= 0 {
-			return perr(ReasonIncomplete, "v%d hello without credits", m.Version)
-		}
-		if m.Credits < 0 {
-			return perr(ReasonIncomplete, "hello with negative credits %d", m.Credits)
+		if m.Credits <= 0 {
+			return perr(ReasonIncomplete, "hello without positive credits (%d)", m.Credits)
 		}
 	case TypeCell:
 		if m.ID <= 0 {

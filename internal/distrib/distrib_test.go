@@ -13,7 +13,6 @@ import (
 func TestRoundTrip(t *testing.T) {
 	msgs := []Msg{
 		{Type: TypeHello, Version: Version, Worker: "proc-0", Credits: DefaultCredits},
-		{Type: TypeHello, Version: 1, Worker: "old-proc"},
 		{Type: TypeCell, ID: 7, Kind: "loadpoint", Spec: []byte(`{"load":0.5}`)},
 		{Type: TypeResult, ID: 7, Value: []byte(`{"events":42}`)},
 		{Type: TypeError, ID: 9, Error: "cell panicked: boom"},
@@ -63,6 +62,7 @@ func TestReadRejections(t *testing.T) {
 		{"empty type", `{"id":3}` + "\n", 0, ReasonBadType},
 		{"hello without version", `{"type":"hello","worker":"w"}` + "\n", 0, ReasonIncomplete},
 		{"v2 hello without credits", `{"type":"hello","version":2,"worker":"w"}` + "\n", 0, ReasonIncomplete},
+		{"v1 hello without credits", `{"type":"hello","version":1,"worker":"w"}` + "\n", 0, ReasonIncomplete},
 		{"hello negative credits", `{"type":"hello","version":1,"worker":"w","credits":-3}` + "\n", 0, ReasonIncomplete},
 		{"cell without id", `{"type":"cell","kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
 		{"cell negative id", `{"type":"cell","id":-1,"kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},

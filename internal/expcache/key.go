@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"math"
 	"strconv"
 )
 
@@ -37,10 +36,9 @@ func ParseKey(s string) (Key, error) {
 
 // KeyBuilder accumulates labeled fields into a Key. Every field is written
 // as `name=value\n` with the value in a canonical, type-tagged form:
-// strings are quoted (so embedded separators cannot collide), floats are
-// hashed by their IEEE-754 bit pattern (so -0, NaN payloads, and values
-// that print alike stay distinct), and integers print in base 10. Field
-// order matters — callers must write fields in a fixed order.
+// strings are quoted and raw bytes length-prefixed (so embedded separators
+// cannot collide), and integers print in base 10. Field order matters —
+// callers must write fields in a fixed order.
 type KeyBuilder struct {
 	h hash.Hash
 }
@@ -72,19 +70,14 @@ func (b *KeyBuilder) Int(name string, v int64) *KeyBuilder {
 	return b.field(name, strconv.FormatInt(v, 10))
 }
 
-// Float adds a float64 field by bit pattern.
-func (b *KeyBuilder) Float(name string, v float64) *KeyBuilder {
-	return b.field(name, "f"+strconv.FormatUint(math.Float64bits(v), 16))
-}
-
-// Struct adds a struct field via Go's `%+v` rendering, which includes field
-// names and prints floats in shortest round-trip form. It is the convenient
-// canonical form for parameter blocks that contain only scalars and nested
-// scalar structs (no maps or pointers): any field addition, rename, or value
-// change alters the rendering and therefore the key — conservative
-// invalidation in exactly the cases where semantics may have moved.
-func (b *KeyBuilder) Struct(name string, v any) *KeyBuilder {
-	return b.field(name, fmt.Sprintf("%+v", v))
+// Bytes adds a raw byte field, length-prefixed so arbitrary content —
+// a canonical JSON document, say — is unambiguous.
+func (b *KeyBuilder) Bytes(name string, v []byte) *KeyBuilder {
+	b.h.Write([]byte(name))
+	b.h.Write([]byte("=" + strconv.Itoa(len(v)) + ":"))
+	b.h.Write(v)
+	b.h.Write([]byte{'\n'})
+	return b
 }
 
 // Sum finalizes the key.

@@ -4,11 +4,11 @@ import (
 	"macrochip/internal/coherence"
 	"macrochip/internal/core"
 	"macrochip/internal/cpu"
-	"macrochip/internal/expcache"
 	"macrochip/internal/memory"
 	"macrochip/internal/networks"
 	"macrochip/internal/power"
 	"macrochip/internal/sim"
+	"macrochip/internal/traffic"
 )
 
 // BenchResult is one (benchmark, network) cell of the figure-7/8/9/10
@@ -92,27 +92,22 @@ func RunStudy(benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, see
 // network) cell is an independent simulation seeded by CellSeed, so the
 // study's rows are identical at every worker count.
 func RunStudyWith(r Runner, benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, seed int64) []StudyRow {
-	type cell struct {
-		b cpu.Benchmark
-		k networks.Kind
-	}
-	jobs := make([]cell, 0, len(benches)*len(kinds))
+	cells := make([]benchcell, 0, len(benches)*len(kinds))
 	for _, b := range benches {
 		for _, k := range kinds {
-			jobs = append(jobs, cell{b, k})
+			cells = append(cells, benchcell{
+				Params:       p,
+				Name:         b.Name,
+				MissPerInstr: b.MissPerInstr,
+				Mix:          b.Mix,
+				Pattern:      b.Pattern.Name(),
+				InstrPerCore: b.InstrPerCore,
+				Network:      k,
+				Seed:         CellSeed(seed, b.Name, k),
+			})
 		}
 	}
-	if r.Cache != nil {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = benchCellKey(j.b, j.k, p, CellSeed(seed, j.b.Name, j.k))
-		}
-		r.Cache.Prefetch(keys)
-	}
-	results := runIndexed(r, len(jobs), func(i int) BenchResult {
-		j := jobs[i]
-		return cachedBenchCell(r, j.b, j.k, p, CellSeed(seed, j.b.Name, j.k))
-	})
+	results := runCells(r, cells)
 	rows := make([]StudyRow, 0, len(benches))
 	i := 0
 	for _, b := range benches {
@@ -124,4 +119,39 @@ func RunStudyWith(r Runner, benches []cpu.Benchmark, kinds []networks.Kind, p co
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// benchcell is the cell spec of one (benchmark, network) study cell (see
+// cell.go): Params, every benchmark scalar, the pattern by name, and the
+// cell's derived seed. Note for readers of a cached BenchResult: it
+// round-trips through JSON, which preserves every field the study
+// renderers and CSV writers read (Runtime, Ops, LatencyPerOp, MaxLatency,
+// Energy) exactly; the embedded *core.Stats sink keeps its exported
+// counters but not its unexported accumulators.
+type benchcell struct {
+	Params       core.Params   `json:"params"`
+	Name         string        `json:"name"`
+	MissPerInstr float64       `json:"miss_per_instr"`
+	Mix          cpu.Mix       `json:"mix"`
+	Pattern      string        `json:"pattern"`
+	InstrPerCore int           `json:"instr_per_core"`
+	Network      networks.Kind `json:"network"`
+	Seed         int64         `json:"seed"`
+}
+
+func (benchcell) kind() string { return "benchcell" }
+
+func (c benchcell) run() (BenchResult, error) {
+	pat, err := traffic.ByName(c.Pattern, c.Params.Grid)
+	if err != nil {
+		return BenchResult{}, err
+	}
+	b := cpu.Benchmark{
+		Name:         c.Name,
+		MissPerInstr: c.MissPerInstr,
+		Mix:          c.Mix,
+		Pattern:      pat,
+		InstrPerCore: c.InstrPerCore,
+	}
+	return RunBenchmark(b, c.Network, c.Params, c.Seed), nil
 }

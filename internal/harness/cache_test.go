@@ -21,6 +21,11 @@ func openTestCache(t *testing.T) *expcache.Cache {
 	return c
 }
 
+// runLoadPointOn runs one load point through the Runner's cache and fleet.
+func runLoadPointOn(r Runner, cfg LoadPointConfig) LoadPoint {
+	return runLoadPoints(r, []LoadPointConfig{cfg})[0]
+}
+
 // TestCachedFigure6MatchesGolden renders the golden figure-6 panel through
 // the cache layer, cold and then warm, and pins both against the same golden
 // file as the uncached writer: the cache must be invisible in the output
@@ -36,7 +41,7 @@ func TestCachedFigure6MatchesGolden(t *testing.T) {
 			pc.Network = networks.PointToPoint
 			pc.Pattern = traffic.Uniform{Grid: cfg.Params.Grid}
 			pc.Load = load
-			s.Points = append(s.Points, cachedLoadPoint(Runner{Workers: 1, Cache: c}, pc))
+			s.Points = append(s.Points, runLoadPointOn(Runner{Workers: 1, Cache: c}, pc))
 		}
 		panel.Series = append(panel.Series, s)
 		var b strings.Builder

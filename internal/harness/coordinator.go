@@ -20,22 +20,20 @@ import (
 // Coordinator owns a fleet of `macrosim -worker` processes — spawned
 // locally over stdin/stdout pipes, or connected over TCP from other
 // machines — and dispatches experiment cells to them over the distrib
-// protocol. It plugs into Runner.Dist: each cache-miss cell inside a
-// cached* compute closure is offered to the fleet first, and simulated
-// in-process only when no worker can take it. Because a cell is the same
-// pure (config, derived seed) unit the cache addresses, and every result
-// struct round-trips canonically through JSON, sweeps are byte-identical
-// to serial at any worker count, any pipeline depth, any interleaving,
-// and any failure pattern.
+// protocol. It plugs into Runner.Dist: each cache-miss cell is offered to
+// the fleet first (distCell), and simulated in-process only when no worker
+// can take it. Because a cell is the same pure (config, derived seed) unit
+// the cache addresses, and every result struct round-trips canonically
+// through JSON, sweeps are byte-identical to serial at any worker count,
+// any pipeline depth, any interleaving, and any failure pattern.
 //
-// Dispatch is pipelined (protocol v2): each connection holds a window of
-// up to its hello-advertised credit count of unanswered cells, results
-// are matched back to their jobs by cell ID in whatever order they
-// arrive, and a v1 peer simply runs at a window of one. Cells wait in a
-// coordinator-owned pending queue; connections take from the head, and —
-// when LocalSlots phantom workers are configured — local cores steal from
-// the tail, so a slow or dying remote fleet never idles the machine the
-// sweep runs on.
+// Dispatch is pipelined: each connection holds a window of up to its
+// hello-advertised credit count of unanswered cells, and results are
+// matched back to their jobs by cell ID in whatever order they arrive.
+// Cells wait in a coordinator-owned pending queue; connections take from
+// the head, and — when LocalSlots phantom workers are configured — local
+// cores steal from the tail, so a slow or dying remote fleet never idles
+// the machine the sweep runs on.
 //
 // Failure policy, from least to most trusted signal:
 //   - A protocol violation, transport error, reply for an unknown cell ID
@@ -115,7 +113,7 @@ type CoordinatorConfig struct {
 	Addr string
 	// MaxDepth caps the in-flight window granted to any connection,
 	// whatever its hello advertises (default distrib.DefaultCredits,
-	// hard-capped at distrib.MaxCredits). A v1 peer always runs at 1.
+	// hard-capped at distrib.MaxCredits).
 	MaxDepth int
 	// LocalSlots is the number of phantom local workers stealing cells
 	// from the tail of the pending queue for in-process compute; 0
@@ -728,9 +726,9 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 	}
 }
 
-// awaitHello enforces the handshake: exactly one version-negotiated hello
-// before any cell is trusted to this connection. A v2 hello's credits set
-// the window (capped by MaxDepth); a v1 hello runs at one credit.
+// awaitHello enforces the handshake: exactly one hello at this build's
+// protocol version before any cell is trusted to this connection. Its
+// credits set the window, capped by MaxDepth.
 func (c *Coordinator) awaitHello(cn *distConn) bool {
 	timer := time.NewTimer(c.cfg.CellTimeout)
 	defer timer.Stop()
@@ -740,20 +738,11 @@ func (c *Coordinator) awaitHello(cn *distConn) bool {
 			c.logf("worker %s: first message %q, want hello; dropping", cn.name, m.Type)
 			return false
 		}
-		if m.Version < distrib.MinVersion || m.Version > distrib.Version {
-			c.logf("worker %s: protocol version %d, want %d–%d; dropping", cn.name, m.Version, distrib.MinVersion, distrib.Version)
+		if m.Version != distrib.Version {
+			c.logf("worker %s: protocol version %d, want %d; dropping", cn.name, m.Version, distrib.Version)
 			return false
 		}
-		depth := 1
-		if m.Version >= 2 {
-			depth = m.Credits
-			if depth > c.cfg.MaxDepth {
-				depth = c.cfg.MaxDepth
-			}
-			if depth < 1 {
-				depth = 1
-			}
-		}
+		depth := min(m.Credits, c.cfg.MaxDepth)
 		if cn.remote && m.Worker != "" {
 			cn.name = m.Worker
 		}

@@ -29,7 +29,7 @@ func benchDistSweep(b *testing.B, r Runner) {
 			cfg := benchLoadPointConfig(cells[j].k)
 			cfg.Load = cells[j].load
 			cfg.Seed = PointSeed(1, cells[j].k, "uniform", cells[j].load)
-			return cachedLoadPoint(r, cfg)
+			return runLoadPointOn(r, cfg)
 		})
 		for _, pt := range pts {
 			events += pt.Events
@@ -46,9 +46,9 @@ func benchDistSweep(b *testing.B, r Runner) {
 // distribution tax: spec marshal, NDJSON framing, the coordinator's
 // dispatch bookkeeping, and the result's decode-and-remarshal — paid per
 // cell, amortized over that cell's simulation. The depth axis isolates the
-// pipelining win: depth 1 is the v1 stop-and-wait discipline (one protocol
-// round trip of dead air per cell), depth 8 keeps the window full so the
-// round trip overlaps the next cell's simulation. Read the committed
+// pipelining win: depth 1 is stop-and-wait (one protocol round trip of
+// dead air per cell), depth 8 keeps the window full so the round trip
+// overlaps the next cell's simulation. Read the committed
 // baseline knowing the workers here share the host's cores with the
 // coordinator (pipe transport, no second machine), so on a single-core
 // host every worker count measures pure coordination overhead with no

@@ -222,9 +222,13 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 		}
 		distrib.Write(w, distrib.Msg{Type: distrib.TypeResult, ID: m.ID + 1000, Value: []byte(`{}`)}) //nolint:errcheck
 	})
-	// Skew: wrong protocol version; must be dropped before any cell.
+	// Skew: wrong protocol version, newer or older; must be dropped before
+	// any cell.
 	attachScripted(t, c, "skew", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version + 1, Worker: "skew"}) //nolint:errcheck
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version + 1, Worker: "skew", Credits: 1}) //nolint:errcheck
+	})
+	attachScripted(t, c, "v1", func(rd *distrib.Reader, w io.Writer) {
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: 1, Worker: "v1"}) //nolint:errcheck
 	})
 	// Rude: skips the handshake entirely.
 	attachScripted(t, c, "rude", func(rd *distrib.Reader, w io.Writer) {
@@ -253,7 +257,7 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 		pc := cfgPt
 		pc.Load = load
 		pc.Seed = PointSeed(1, pc.Network, "uniform", load)
-		got := cachedLoadPoint(Runner{Dist: c}, pc)
+		got := runLoadPointOn(Runner{Dist: c}, pc)
 		a, _ := json.Marshal(got)
 		b, _ := json.Marshal(wantPt)
 		if string(a) != string(b) {
@@ -297,7 +301,7 @@ func TestDistDrainFallsBackLocally(t *testing.T) {
 	cfg.Network = networks.PointToPoint
 	cfg.Pattern = traffic.Uniform{Grid: cfg.Params.Grid}
 	cfg.Load = 0.02
-	got := cachedLoadPoint(Runner{Dist: c}, cfg)
+	got := runLoadPointOn(Runner{Dist: c}, cfg)
 	want := RunLoadPoint(cfg)
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(want)
@@ -326,7 +330,7 @@ func TestDistAllWorkersDeadAutoDrain(t *testing.T) {
 	cfg.Network = networks.PointToPoint
 	cfg.Pattern = traffic.Uniform{Grid: cfg.Params.Grid}
 	cfg.Load = 0.02
-	got := cachedLoadPoint(Runner{Dist: c}, cfg)
+	got := runLoadPointOn(Runner{Dist: c}, cfg)
 	want := RunLoadPoint(cfg)
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(want)
@@ -337,8 +341,8 @@ func TestDistAllWorkersDeadAutoDrain(t *testing.T) {
 }
 
 // TestDistDepthSweepByteIdentity pins byte-identity across the pipelining
-// axis: every (workers, depth) combination — including depth 1, the v1
-// stop-and-wait discipline — renders the same CSV as serial.
+// axis: every (workers, depth) combination — including depth 1,
+// stop-and-wait — renders the same CSV as serial.
 func TestDistDepthSweepByteIdentity(t *testing.T) {
 	cfg := quickCfg()
 	loads := []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03}
@@ -376,7 +380,7 @@ func TestDistDepthSweepByteIdentity(t *testing.T) {
 	}
 }
 
-// TestDistOutOfOrderResults pins the v2 correlator: a worker that holds a
+// TestDistOutOfOrderResults pins the cell-ID correlator: a worker that holds a
 // full window and answers in reverse dispatch order still resolves every
 // cell to its own caller, and the inversions are counted.
 func TestDistOutOfOrderResults(t *testing.T) {
@@ -422,7 +426,7 @@ func TestDistOutOfOrderResults(t *testing.T) {
 			cfg := base
 			cfg.Load = load
 			cfg.Seed = PointSeed(1, cfg.Network, "uniform", load)
-			value, ok := c.Exec(CellLoadPoint, mustMarshal(t, specForLoadPoint(cfg)))
+			value, ok := c.Exec("loadpoint", mustMarshal(t, cfg.cell()))
 			if !ok {
 				errs[i] = fmt.Sprintf("load %v: cell fell back locally", load)
 				return
@@ -499,7 +503,7 @@ func TestDistUnknownCellIDTeardown(t *testing.T) {
 			cfg := base
 			cfg.Load = load
 			cfg.Seed = PointSeed(1, cfg.Network, "uniform", load)
-			value, ok := c.Exec(CellLoadPoint, mustMarshal(t, specForLoadPoint(cfg)))
+			value, ok := c.Exec("loadpoint", mustMarshal(t, cfg.cell()))
 			results[i] = outcome{ok: ok, value: string(value), want: string(mustMarshal(t, RunLoadPoint(cfg)))}
 		}()
 	}
@@ -527,64 +531,6 @@ func TestDistUnknownCellIDTeardown(t *testing.T) {
 	}
 	if st.Deduped != 0 {
 		t.Errorf("Deduped = %d, want 0 (no duplicate enqueue should ever fire): %+v", st.Deduped, st)
-	}
-}
-
-// TestDistV1WorkerMixedFleet pins the version negotiation: a v1 peer (no
-// credits field) joins a v2 fleet, runs at a window of one, serves correct
-// cells, and the sweep stays byte-identical.
-func TestDistV1WorkerMixedFleet(t *testing.T) {
-	c := newCoordinator(testFleetConfig())
-	attachScripted(t, c, "v1", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: 1, Worker: "v1-proc"}) //nolint:errcheck
-		r := Runner{Workers: 1}
-		for {
-			m, err := rd.Read()
-			if err != nil || m.Type == distrib.TypeShutdown {
-				return
-			}
-			if m.Type == distrib.TypeCell {
-				distrib.Write(w, executeCell(r, m)) //nolint:errcheck
-			}
-		}
-	})
-	startPipeWorker(t, c, "v2-proc", Runner{Workers: 1}, 8)
-	if err := c.AwaitWorkers(2, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := quickCfg()
-	render := func(r Runner) string {
-		panel, err := Figure6PanelWith(r, cfg, "uniform",
-			[]networks.Kind{networks.PointToPoint}, []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := WriteFigure6CSV(&b, panel); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial := render(Serial)
-	got := render(Runner{Dist: c})
-	st := c.Stats()
-	c.Close()
-	if got != serial {
-		t.Errorf("mixed v1/v2 fleet CSV differs from serial\nserial:\n%s\ngot:\n%s", serial, got)
-	}
-	if st.LocalFallback != 0 || st.Failed != 0 || st.Retried != 0 {
-		t.Errorf("mixed fleet should be healthy: %+v", st)
-	}
-	depths := map[string]int{}
-	for _, w := range st.Workers {
-		depths[w.Name] = w.Depth
-	}
-	if depths["v1-proc"] != 1 {
-		t.Errorf("v1 worker negotiated depth %d, want 1", depths["v1-proc"])
-	}
-	if depths["v2-proc"] != 8 {
-		t.Errorf("v2 worker negotiated depth %d, want 8", depths["v2-proc"])
 	}
 }
 
@@ -660,15 +606,15 @@ func mustMarshal(t *testing.T, v any) []byte {
 // pattern travels by Name and is rebuilt via traffic.ByName; everything
 // else travels by value.
 func TestCellSpecsRoundTrip(t *testing.T) {
-	run := func(kind string, spec any) []byte {
+	run := func(spec interface{ kind() string }) []byte {
 		t.Helper()
 		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := RunCell(Serial, kind, data)
+		v, err := RunCell(Serial, spec.kind(), data)
 		if err != nil {
-			t.Fatalf("RunCell(%s): %v", kind, err)
+			t.Fatalf("RunCell(%s): %v", spec.kind(), err)
 		}
 		out, err := json.Marshal(v)
 		if err != nil {
@@ -690,20 +636,41 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 	lp.Pattern = traffic.Uniform{Grid: lp.Params.Grid}
 	lp.Load = 0.02
 	lp.Seed = PointSeed(1, lp.Network, "uniform", lp.Load)
-	if got, want := run(CellLoadPoint, specForLoadPoint(lp)), mustJSON(RunLoadPoint(lp)); string(got) != string(want) {
+	if got, want := run(lp.cell()), mustJSON(RunLoadPoint(lp)); string(got) != string(want) {
 		t.Errorf("loadpoint round-trip: %s != %s", got, want)
 	}
 
 	bench := workload.All(lp.Params.Grid, workload.Scale(0.01))[0]
 	seed := CellSeed(1, bench.Name, networks.PointToPoint)
-	if got, want := run(CellBenchCell, specForBenchCell(bench, networks.PointToPoint, lp.Params, seed)),
-		mustJSON(RunBenchmark(bench, networks.PointToPoint, lp.Params, seed)); string(got) != string(want) {
+	bc := benchcell{
+		Params:       lp.Params,
+		Name:         bench.Name,
+		MissPerInstr: bench.MissPerInstr,
+		Mix:          bench.Mix,
+		Pattern:      bench.Pattern.Name(),
+		InstrPerCore: bench.InstrPerCore,
+		Network:      networks.PointToPoint,
+		Seed:         seed,
+	}
+	if got, want := run(bc), mustJSON(RunBenchmark(bench, networks.PointToPoint, lp.Params, seed)); string(got) != string(want) {
 		t.Errorf("benchcell round-trip: %s != %s", got, want)
 	}
 
 	rc := quickResilienceCfg()
-	if got, want := run(CellResilience, specForResilience(rc, networks.PointToPoint, fault.DarkLaser, 80)),
-		mustJSON(RunResiliencePoint(rc, networks.PointToPoint, fault.DarkLaser, 80)); string(got) != string(want) {
+	res := resilience{
+		Params:      rc.Params,
+		Network:     networks.PointToPoint,
+		Class:       fault.DarkLaser.String(),
+		Rate:        80,
+		Load:        rc.Load,
+		PacketBytes: rc.PacketBytes,
+		Warmup:      rc.Warmup,
+		Measure:     rc.Measure,
+		MTTR:        rc.MTTR,
+		Retry:       rc.Retry,
+		Seed:        rc.Seed,
+	}
+	if got, want := run(res), mustJSON(RunResiliencePoint(rc, networks.PointToPoint, fault.DarkLaser, 80)); string(got) != string(want) {
 		t.Errorf("resilience round-trip: %s != %s", got, want)
 	}
 
@@ -713,7 +680,19 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := run(CellInference, specForInference(ic, networks.PointToPoint, graph, 1, 16)), mustJSON(wantPt); string(got) != string(want) {
+	inf := inference{
+		Params:      ic.Params,
+		Network:     networks.PointToPoint,
+		Graph:       graph,
+		Batch:       1,
+		Seq:         16,
+		PacketBytes: ic.PacketBytes,
+		Retry:       ic.Retry,
+		JitterFrac:  ic.JitterFrac,
+		FaultWrap:   ic.FaultWrap,
+		Seed:        ic.Seed,
+	}
+	if got, want := run(inf), mustJSON(wantPt); string(got) != string(want) {
 		t.Errorf("inference round-trip: %s != %s", got, want)
 	}
 }
@@ -722,7 +701,7 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 // a field this build does not know is a cell error, not a silent partial
 // simulation.
 func TestDistSpecUnknownFieldRejected(t *testing.T) {
-	if _, err := RunCell(Serial, CellLoadPoint, []byte(`{"params":{},"bogus_field":1}`)); err == nil {
+	if _, err := RunCell(Serial, "loadpoint", []byte(`{"params":{},"bogus_field":1}`)); err == nil {
 		t.Fatal("RunCell accepted a spec with an unknown field")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/fault"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
@@ -272,32 +271,68 @@ func InferenceStudyWith(r Runner, cfg InferenceConfig) ([]InferencePoint, error)
 		kinds = networks.Six()
 	}
 	graphs, batches, seqs := cfg.graphs(), cfg.batches(), cfg.seqLens()
-	type job struct {
-		k          networks.Kind
-		graph      string
-		batch, seq int
-	}
-	jobs := make([]job, 0, len(kinds)*len(graphs)*len(batches)*len(seqs))
+	cells := make([]inference, 0, len(kinds)*len(graphs)*len(batches)*len(seqs))
 	for _, k := range kinds {
 		for _, g := range graphs {
+			var custom *opgraph.Graph
+			if cfg.Custom != nil && cfg.Custom.Name == g {
+				custom = cfg.Custom
+			}
 			for _, b := range batches {
 				for _, s := range seqs {
-					jobs = append(jobs, job{k, g, b, s})
+					cells = append(cells, inference{
+						Params:      cfg.Params,
+						Network:     k,
+						Graph:       g,
+						Batch:       b,
+						Seq:         s,
+						PacketBytes: cfg.PacketBytes,
+						Retry:       cfg.Retry,
+						JitterFrac:  cfg.JitterFrac,
+						FaultWrap:   cfg.FaultWrap,
+						Seed:        cfg.Seed,
+						Custom:      custom,
+					})
 				}
 			}
 		}
 	}
-	if r.Cache != nil {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = inferencePointKey(cfg, j.k, j.graph, j.batch, j.seq)
-		}
-		r.Cache.Prefetch(keys)
+	return runCells(r, cells), nil
+}
+
+// inference is the cell spec of one (network, graph, batch, seq) replay
+// (see cell.go): Params, the cell identity, the transfer MTU and
+// retry/jitter settings, the study's base seed (from which GraphSeed and
+// InferenceSeed derive), and — for a user-supplied graph — the full graph
+// by value, so two different custom DAGs sharing a name can never collide
+// and a remote worker needs no access to the coordinator's filesystem.
+type inference struct {
+	Params      core.Params         `json:"params"`
+	Network     networks.Kind       `json:"network"`
+	Graph       string              `json:"graph"`
+	Batch       int                 `json:"batch"`
+	Seq         int                 `json:"seq"`
+	PacketBytes int                 `json:"packet_bytes"`
+	Retry       traffic.RetryPolicy `json:"retry"`
+	JitterFrac  float64             `json:"jitter_frac"`
+	FaultWrap   bool                `json:"fault_wrap"`
+	Seed        int64               `json:"seed"`
+	Custom      *opgraph.Graph      `json:"custom,omitempty"`
+}
+
+func (inference) kind() string { return "inference" }
+
+func (c inference) run() (InferencePoint, error) {
+	cfg := InferenceConfig{
+		Params:      c.Params,
+		Custom:      c.Custom,
+		PacketBytes: c.PacketBytes,
+		Retry:       c.Retry,
+		JitterFrac:  c.JitterFrac,
+		FaultWrap:   c.FaultWrap,
+		Seed:        c.Seed,
 	}
-	return runIndexed(r, len(jobs), func(i int) InferencePoint {
-		j := jobs[i]
-		return cachedInferencePoint(r, cfg, j.k, j.graph, j.batch, j.seq)
-	}), nil
+	return RunInferencePoint(cfg, c.Network, c.Graph, c.Batch, c.Seq)
 }
 
 // RenderInference renders the sweep as an aligned text table, one row per

@@ -150,11 +150,19 @@ func TestInferenceCustomGraph(t *testing.T) {
 	}
 	cfgB := cfg
 	cfgB.Custom = other
-	ka := inferencePointKey(cfg, networks.PointToPoint, "custom", 1, 16)
-	kb := inferencePointKey(cfgB, networks.PointToPoint, "custom", 1, 16)
-	if ka == kb {
+	if !keysDiffer(t, cfg, cfgB) {
 		t.Error("cache keys collide for different custom graphs sharing a name")
 	}
+}
+
+// keysDiffer runs a one-point study for a and then for b on one cache and
+// reports whether b missed — that is, whether the two keys differ.
+func keysDiffer(t *testing.T, a, b InferenceConfig) bool {
+	t.Helper()
+	r := Runner{Workers: 1, Cache: openTestCache(t)}
+	inferenceCSV(t, r, a)
+	inferenceCSV(t, r, b)
+	return r.Cache.Stats().Misses == 2
 }
 
 // TestInferenceRetryConfigReachesReplay: a retry policy flows through the
@@ -164,10 +172,9 @@ func TestInferenceRetryConfigReachesReplay(t *testing.T) {
 	cfg := QuickInferenceConfig()
 	cfg.Networks = []networks.Kind{networks.PointToPoint}
 	cfg.Graphs = []string{"decode-attention"}
-	base := inferencePointKey(cfg, networks.PointToPoint, "decode-attention", 1, 16)
+	base := cfg
 	cfg.Retry = traffic.RetryPolicy{Timeout: 2 * sim.Microsecond, MaxRetries: 2}
-	withRetry := inferencePointKey(cfg, networks.PointToPoint, "decode-attention", 1, 16)
-	if base == withRetry {
+	if !keysDiffer(t, base, cfg) {
 		t.Error("retry policy absent from the cache key")
 	}
 	points, err := InferenceStudy(cfg)

@@ -123,7 +123,7 @@ func BenchmarkLoadSweepColdCache(b *testing.B) {
 			for _, load := range loads {
 				cfg.Load = load
 				cfg.Seed = PointSeed(1, k, "uniform", load)
-				pt := cachedLoadPoint(Runner{Workers: 1, Cache: c}, cfg)
+				pt := runLoadPointOn(Runner{Workers: 1, Cache: c}, cfg)
 				events += pt.Events
 			}
 		}

@@ -6,7 +6,6 @@ package harness
 
 import (
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/geometry"
 	"macrochip/internal/metrics"
 	"macrochip/internal/networks"
@@ -224,6 +223,73 @@ func runLoadPointSharded(cfg LoadPointConfig) (LoadPoint, bool) {
 	return assembleLoadPoint(cfg, total, se.Executed()), true
 }
 
+// loadpoint is the cell spec of one figure-6 load point (see cell.go).
+// Shards picks a kernel, not a result, so it stays out of the key and off
+// the wire: a remote point runs on the worker's serial kernel, which the
+// shard-identity tests pin as byte-identical.
+type loadpoint struct {
+	Params      core.Params   `json:"params"`
+	Network     networks.Kind `json:"network"`
+	Pattern     string        `json:"pattern"`
+	Load        float64       `json:"load"`
+	PacketBytes int           `json:"packet_bytes"`
+	Warmup      sim.Time      `json:"warmup_ps"`
+	Measure     sim.Time      `json:"measure_ps"`
+	Seed        int64         `json:"seed"`
+	Shards      int           `json:"-"`
+}
+
+func (loadpoint) kind() string { return "loadpoint" }
+
+func (c loadpoint) run() (LoadPoint, error) {
+	pat, err := traffic.ByName(c.Pattern, c.Params.Grid)
+	if err != nil {
+		return LoadPoint{}, err
+	}
+	return RunLoadPoint(LoadPointConfig{
+		Params:      c.Params,
+		Network:     c.Network,
+		Pattern:     pat,
+		Load:        c.Load,
+		PacketBytes: c.PacketBytes,
+		Warmup:      c.Warmup,
+		Measure:     c.Measure,
+		Seed:        c.Seed,
+		Shards:      c.Shards,
+	}), nil
+}
+
+// cell is the config's cell spec; the observability fields have no place
+// in it.
+func (cfg LoadPointConfig) cell() loadpoint {
+	return loadpoint{
+		Params:      cfg.Params,
+		Network:     cfg.Network,
+		Pattern:     cfg.Pattern.Name(),
+		Load:        cfg.Load,
+		PacketBytes: cfg.PacketBytes,
+		Warmup:      cfg.Warmup,
+		Measure:     cfg.Measure,
+		Seed:        cfg.Seed,
+		Shards:      cfg.Shards,
+	}
+}
+
+// runLoadPoints runs load points as cells on the Runner. Instrumented
+// configs bypass the cache and the fleet: a cached or remote LoadPoint
+// carries no probe series or trace spans, so serving one would silently
+// disable observability.
+func runLoadPoints(r Runner, cfgs []LoadPointConfig) []LoadPoint {
+	cells := make([]loadpoint, len(cfgs))
+	for i, cfg := range cfgs {
+		if cfg.Obs.Enabled() {
+			return runIndexed(r, len(cfgs), func(j int) LoadPoint { return RunLoadPoint(cfgs[j]) })
+		}
+		cells[i] = cfg.cell()
+	}
+	return runCells(r, cells)
+}
+
 // SaturationSearch finds the highest offered load (as a fraction of site
 // bandwidth, within tol) that the network still accepts, by bisection on
 // the Saturated flag. It returns that load fraction. The bisection is
@@ -234,31 +300,31 @@ func SaturationSearch(cfg LoadPointConfig, lo, hi, tol float64) float64 {
 }
 
 // saturationSearch is SaturationSearch on a Runner: the whole search is
-// memoized under (config, bracket, tolerance), and on a partially warm
-// cache each bisection probe is itself a cacheable load point, so a
-// repeated search replays from disk without simulating. Probes go through
-// cachedLoadPoint, so a distributed fleet serves them too — the bisection
-// stays sequential but each probe may execute remotely.
+// memoized under (probed point, bracket, tolerance) — the point's own load
+// is not an input — and on a partially warm cache each bisection probe is
+// itself a cacheable load point, so a repeated search replays from disk
+// without simulating. Probes go through runLoadPoints, so a distributed
+// fleet serves them too — the bisection stays sequential but each probe may
+// execute remotely.
 func saturationSearch(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float64 {
-	if r.Cache == nil {
-		return bisectSaturation(r, cfg, lo, hi, tol)
-	}
-	return expcache.Do(r.Cache, saturationKey(cfg, lo, hi, tol), func() float64 {
-		return bisectSaturation(r, cfg, lo, hi, tol)
-	})
-}
-
-func bisectSaturation(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float64 {
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		cfg.Load = mid
-		if cachedLoadPoint(r, cfg).Saturated {
-			hi = mid
-		} else {
-			lo = mid
+	point := cfg.cell()
+	point.Load = 0
+	search := struct {
+		Point       loadpoint
+		Lo, Hi, Tol float64
+	}{point, lo, hi, tol}
+	return cacheOnly(r, "satsearch", search, func() float64 {
+		for hi-lo > tol {
+			mid := (lo + hi) / 2
+			cfg.Load = mid
+			if runLoadPoints(r, []LoadPointConfig{cfg})[0].Saturated {
+				hi = mid
+			} else {
+				lo = mid
+			}
 		}
-	}
-	return lo
+		return lo
+	})
 }
 
 // SaturationSweep runs one SaturationSearch per config concurrently on the

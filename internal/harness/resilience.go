@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/fault"
 	"macrochip/internal/networks"
 	"macrochip/internal/sim"
@@ -160,30 +159,65 @@ func ResilienceStudyWith(r Runner, cfg ResilienceConfig) []ResiliencePoint {
 	if classes == nil {
 		classes = fault.AllClasses()
 	}
-	type job struct {
-		k    networks.Kind
-		c    fault.Class
-		rate float64
-	}
-	jobs := make([]job, 0, len(kinds)*len(classes)*len(cfg.Rates))
+	cells := make([]resilience, 0, len(kinds)*len(classes)*len(cfg.Rates))
 	for _, k := range kinds {
 		for _, c := range classes {
 			for _, rate := range cfg.Rates {
-				jobs = append(jobs, job{k, c, rate})
+				cells = append(cells, resilience{
+					Params:      cfg.Params,
+					Network:     k,
+					Class:       c.String(),
+					Rate:        rate,
+					Load:        cfg.Load,
+					PacketBytes: cfg.PacketBytes,
+					Warmup:      cfg.Warmup,
+					Measure:     cfg.Measure,
+					MTTR:        cfg.MTTR,
+					Retry:       cfg.Retry,
+					Seed:        cfg.Seed,
+				})
 			}
 		}
 	}
-	if r.Cache != nil {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = resiliencePointKey(cfg, j.k, j.c, j.rate)
-		}
-		r.Cache.Prefetch(keys)
+	return runCells(r, cells)
+}
+
+// resilience is the cell spec of one (network, class, rate) resilience
+// point (see cell.go): Params, the point identity, every traffic, fault and
+// retry setting that feeds the simulation, and the study's base seed, from
+// which the point derives its own (ResilienceSeed).
+type resilience struct {
+	Params      core.Params         `json:"params"`
+	Network     networks.Kind       `json:"network"`
+	Class       string              `json:"class"`
+	Rate        float64             `json:"rate"`
+	Load        float64             `json:"load"`
+	PacketBytes int                 `json:"packet_bytes"`
+	Warmup      sim.Time            `json:"warmup_ps"`
+	Measure     sim.Time            `json:"measure_ps"`
+	MTTR        sim.Time            `json:"mttr_ps"`
+	Retry       traffic.RetryPolicy `json:"retry"`
+	Seed        int64               `json:"seed"`
+}
+
+func (resilience) kind() string { return "resilience" }
+
+func (c resilience) run() (ResiliencePoint, error) {
+	class, err := fault.ParseClass(c.Class)
+	if err != nil {
+		return ResiliencePoint{}, err
 	}
-	return runIndexed(r, len(jobs), func(i int) ResiliencePoint {
-		j := jobs[i]
-		return cachedResiliencePoint(r, cfg, j.k, j.c, j.rate)
-	})
+	cfg := ResilienceConfig{
+		Params:      c.Params,
+		Load:        c.Load,
+		PacketBytes: c.PacketBytes,
+		Warmup:      c.Warmup,
+		Measure:     c.Measure,
+		MTTR:        c.MTTR,
+		Retry:       c.Retry,
+		Seed:        c.Seed,
+	}
+	return RunResiliencePoint(cfg, c.Network, class, c.Rate), nil
 }
 
 // RenderResilience renders the sweep as an aligned text table, one row per

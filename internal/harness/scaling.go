@@ -50,10 +50,13 @@ func ScaledParams(n int) core.Params {
 func ScalingStudy(ns []int) []ScalingRow { return ScalingStudyWith(Runner{}, ns) }
 
 // ScalingStudyWith is ScalingStudy on an explicit Runner: each grid size
-// is an independent analysis, so the sizes fan out across the pool.
+// is an independent analysis, so the sizes fan out across the pool. A row
+// is a pure analysis of ScaledParams(n), so that block is its whole cache
+// identity; microseconds of arithmetic are never worth a fleet round trip.
 func ScalingStudyWith(r Runner, ns []int) []ScalingRow {
 	return runIndexed(r, len(ns), func(i int) ScalingRow {
-		return cachedScalingRow(r, ns[i])
+		n := ns[i]
+		return cacheOnly(r, "scalingrow", ScaledParams(n), func() ScalingRow { return scalingRow(n) })
 	})
 }
 

@@ -14,14 +14,14 @@ import (
 // (forced serial and never redistributed), and write results to out —
 // `macrosim -worker` over stdin/stdout, `macrosim -connect` over TCP.
 //
-// depth is the credit window the worker advertises in its hello (protocol
-// v2): the coordinator may stream up to that many unanswered cells, and
-// the worker computes them on a bounded pool of the same size, replying in
-// completion order — results drain while later cells simulate, so the
-// connection never sits idle across a protocol round trip. Any value
-// below one means distrib.DefaultCredits; depth 1 reproduces the v1
-// stop-and-wait discipline. Every reply goes through one serialized
-// writer, so frames are never interleaved however the pool finishes.
+// depth is the credit window the worker advertises in its hello: the
+// coordinator may stream up to that many unanswered cells, and the worker
+// computes them on a bounded pool of the same size, replying in completion
+// order — results drain while later cells simulate, so the connection
+// never sits idle across a protocol round trip. Any value below one means
+// distrib.DefaultCredits; depth 1 is stop-and-wait, one cell at a time.
+// Every reply goes through one serialized writer, so frames are never
+// interleaved however the pool finishes.
 //
 // Results reach the rendezvous store only through the Runner's cache (the
 // atomic temp-file+rename publish in expcache, plus its optional HTTP
@@ -156,7 +156,7 @@ func ServeWorker(in io.Reader, out io.Writer, r Runner, name string, depth int, 
 // canonical JSON value, or an error message carrying the failure (panics
 // included — a worker must survive any single bad cell).
 func executeCell(r Runner, m distrib.Msg) distrib.Msg {
-	v, err := runCellSafe(r, m.Kind, m.Spec)
+	v, err := RunCell(r, m.Kind, m.Spec)
 	if err != nil {
 		return distrib.Msg{Type: distrib.TypeError, ID: m.ID, Error: err.Error()}
 	}
@@ -165,15 +165,4 @@ func executeCell(r Runner, m distrib.Msg) distrib.Msg {
 		return distrib.Msg{Type: distrib.TypeError, ID: m.ID, Error: fmt.Sprintf("encoding result: %v", err)}
 	}
 	return distrib.Msg{Type: distrib.TypeResult, ID: m.ID, Value: data}
-}
-
-// runCellSafe converts a panicking cell (e.g. a post-validation inference
-// failure) into an error reply instead of a dead worker.
-func runCellSafe(r Runner, kind string, spec []byte) (v any, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("cell panicked: %v", p)
-		}
-	}()
-	return RunCell(r, kind, spec)
 }

@@ -6,7 +6,7 @@
 # figure-6 panel (uniform pattern, point-to-point network, quick windows)
 # serially as the reference, then three distributed ways:
 #
-#   1. two spawned pipe workers at depth 1 (the v1 stop-and-wait discipline)
+#   1. two spawned pipe workers at depth 1 (stop-and-wait)
 #   2. two spawned pipe workers at depth 8 (the pipelined credit window)
 #   3. one TCP worker (`macrosim -connect`) against a listening coordinator
 #
