@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt staticcheck perfbench-test bench-smoke bench-json bench-compare serve-smoke dist-smoke shard-identity check figures report
+.PHONY: build test race vet fmt staticcheck perfbench-test bench-smoke fuzz-smoke bench-json serve-smoke dist-smoke check figures report
 
 build:
 	$(GO) build ./...
@@ -43,44 +43,27 @@ perfbench-test:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
+# fuzz-smoke runs the distributed-protocol frame parser's fuzz target for a
+# few seconds: Read must never panic on arbitrary bytes, and every message
+# it accepts must survive a Write/Read round trip.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/distrib
+
 # bench-json regenerates the committed kernel-performance baseline: the
 # per-network load-point benchmarks, the miniature full sweep (uncached and
-# cold-cache variants), the operator-graph replay benchmarks, the
-# sharded-kernel benchmark (serial vs 2 vs 4 shards on the high-load 8×8
-# point), and the distributed-sweep benchmark (the same miniature sweep
-# through 1/2/4 in-process pipe workers vs serial — the delta is the
-# per-cell distribution tax), captured both in raw `go test -bench` form
+# cold-cache variants), the operator-graph replay benchmarks, and the
+# distributed-sweep benchmark (the same miniature sweep through 1/2/4
+# in-process pipe workers vs serial — the delta is the per-cell
+# distribution tax), captured both in raw `go test -bench` form
 # ($(BENCH_BASELINE).txt, for benchstat) and as JSON ($(BENCH_BASELINE).json,
 # for dashboards and PR-to-PR diffs). BENCH_BASELINE names the committed
 # files; bump it per baseline-refreshing PR so history stays diffable.
 BENCH_COUNT ?= 5
 BENCH_BASELINE ?= BENCH_pr10
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunLoadPoint|BenchmarkLoadSweep|BenchmarkOpGraphReplay|BenchmarkInferenceSweep|BenchmarkShardedLoadPoint|BenchmarkDistributedSweep' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRunLoadPoint|BenchmarkLoadSweep|BenchmarkOpGraphReplay|BenchmarkInferenceSweep|BenchmarkDistributedSweep' \
 		-benchmem -count $(BENCH_COUNT) ./internal/harness | tee $(BENCH_BASELINE).txt
 	$(GO) run ./cmd/benchjson < $(BENCH_BASELINE).txt > $(BENCH_BASELINE).json
-
-# bench-compare reruns the load-point benchmarks quickly and benchstats them
-# against the committed baseline. Report-only: it never fails the build, and
-# it skips cleanly when benchstat (golang.org/x/perf/cmd/benchstat) is not
-# installed or no baseline is committed.
-bench-compare:
-	@if ! command -v benchstat >/dev/null 2>&1; then \
-		echo "benchstat not installed; skipping bench-compare (go install golang.org/x/perf/cmd/benchstat@latest)"; \
-	elif [ ! -f $(BENCH_BASELINE).txt ]; then \
-		echo "no $(BENCH_BASELINE).txt baseline; skipping bench-compare (make bench-json)"; \
-	else \
-		$(GO) test -run '^$$' -bench BenchmarkRunLoadPoint -benchmem -count 3 \
-			./internal/harness > /tmp/bench_head.txt 2>&1 || { cat /tmp/bench_head.txt; exit 0; }; \
-		benchstat $(BENCH_BASELINE).txt /tmp/bench_head.txt || true; \
-	fi
-
-# shard-identity is the sharded-vs-serial byte-identity gate: the committed
-# figure-6 and inference goldens must be reproduced exactly at -shards 1 and
-# -shards 4, and the full LoadPoint struct must match the serial kernel at
-# every shard count across operating points.
-shard-identity:
-	$(GO) test -count=1 -run 'TestShardCountInvariance|TestShardedFigure6GoldenIdentity|TestShardedInferenceGoldenIdentity|TestShardedFallbackNetworksIdentical' ./internal/harness
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second
@@ -96,10 +79,9 @@ dist-smoke:
 	@sh scripts/dist_smoke.sh
 
 # check is the pre-merge gate: vet + formatting + lint + tests + race
-# detector + repo-benchmark module tests + sharded-kernel byte-identity +
-# benchmark smoke + daemon smoke + distributed smoke + report-only perf
-# comparison.
-check: vet fmt staticcheck test race perfbench-test shard-identity bench-smoke serve-smoke dist-smoke bench-compare
+# detector + repo-benchmark module tests + benchmark smoke + frame-parser
+# fuzz smoke + daemon smoke + distributed smoke.
+check: vet fmt staticcheck test race perfbench-test bench-smoke fuzz-smoke serve-smoke dist-smoke
 
 figures:
 	$(GO) run ./cmd/figures -all

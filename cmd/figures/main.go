@@ -15,10 +15,6 @@
 // pool that fans the independent simulations across cores (0, the
 // default, uses every core; 1 runs serially — output is identical either
 // way because each point's seed derives purely from the point identity).
-// -shards N runs each figure-6 load point on the sharded event kernel
-// where the network supports it (point-to-point today; everything else
-// falls back to the serial reference) — output is byte-identical at every
-// shard count.
 // Results are cached content-addressed under -cache-dir (default
 // os.UserCacheDir()/macrochip/expcache; -no-cache or -cache-dir "" opts
 // out), so repeated runs replay from disk with byte-identical output.
@@ -51,7 +47,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload instruction-quota scale for figures 7-10")
 	seed := flag.Int64("seed", 1, "random seed")
 	jobs := flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
-	shardsFlag := flag.Int("shards", 0, "event-kernel shards per figure-6 load point (0/1 = serial reference; output is identical at every count)")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	patterns := flag.String("patterns", "", "comma-separated figure-6 patterns to run (default: all four)")
 	nets := flag.String("networks", "", "comma-separated figure-6 networks to run (default: the paper's five)")
@@ -77,11 +72,6 @@ func main() {
 		defer dist.Close()
 	}
 	runner = harness.Runner{Workers: *jobs, Cache: cache, Dist: dist}
-	shards = *shardsFlag
-	if shards < 0 {
-		fmt.Fprintln(os.Stderr, "figures: -shards must be non-negative")
-		os.Exit(2)
-	}
 	if *patterns != "" {
 		fig6Patterns = splitList(*patterns)
 	}
@@ -164,9 +154,6 @@ var outDir string
 // runner carries the -j worker-pool setting into every study.
 var runner harness.Runner
 
-// shards carries the -shards kernel setting into the figure-6 load points.
-var shards int
-
 // fig6Patterns / fig6Networks restrict the figure-6 grid (-patterns /
 // -networks); nil means the full paper grid. Restrictions exist for the
 // distributed smoke test and quick byte-identity comparisons, where one
@@ -191,7 +178,6 @@ func runFig6(p core.Params, quick bool, seed int64) {
 	cfg := harness.DefaultLoadPointConfig()
 	cfg.Params = p
 	cfg.Seed = seed
-	cfg.Shards = shards
 	if quick {
 		cfg.Warmup = 500 * sim.Nanosecond
 		cfg.Measure = 1500 * sim.Nanosecond

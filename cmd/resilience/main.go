@@ -46,7 +46,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use short simulation windows")
 	seed := flag.Int64("seed", 1, "random seed")
 	jobs := flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "event-kernel shards (reserved: the resilience sweep always runs the serial kernel; accepted for CLI uniformity)")
 	csvPath := flag.String("csv", "", "also write the sweep as CSV to this file")
 	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), `experiment result cache directory ("" disables)`)
 	noCache := flag.Bool("no-cache", false, "disable the experiment result cache")
@@ -86,12 +85,8 @@ func main() {
 	}
 	defer writeMemProfile(*memprofile)
 
-	if *shards < 0 {
-		log.Fatal("-shards must be non-negative")
-	}
 	cfg := harness.DefaultResilienceConfig()
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	if *load > 0 {
 		cfg.Load = *load
 	}

@@ -28,16 +28,6 @@ func (h *LatencyHistogram) Add(lat sim.Time) {
 // Count returns the number of samples.
 func (h *LatencyHistogram) Count() uint64 { return h.count }
 
-// Merge adds another histogram's samples to h. Buckets are plain counters,
-// so merging per-shard histograms yields exactly the histogram a serial run
-// would have built sample by sample.
-func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-}
-
 // Percentile returns an estimate of the p-th percentile (0 < p ≤ 100) by
 // interpolating within the containing bucket.
 func (h *LatencyHistogram) Percentile(p float64) sim.Time {

@@ -99,16 +99,6 @@ type Packet struct {
 	OnDeliver func(p *Packet, at sim.Time)
 }
 
-// Injector is the inject-only face of a network — all a traffic source
-// needs. The serial models implement it as part of Network; the sharded
-// variants implement just this (their statistics live in per-shard sinks,
-// so the single-sink Stats accessor does not apply).
-type Injector interface {
-	// Inject accepts a packet at the current simulation time of the
-	// packet's source site.
-	Inject(p *Packet)
-}
-
 // Network is one of the five macrochip interconnect models. A Network is
 // bound at construction to a sim.Engine and a Stats sink; Inject may only be
 // called from the engine's event context (or before Run starts).

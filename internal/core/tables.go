@@ -54,33 +54,6 @@ func (t *PathTable) LossDB(a, b geometry.SiteID) photonics.DB {
 // Sites returns the table's site count.
 func (t *PathTable) Sites() int { return t.n }
 
-// MinCrossDelay returns the smallest propagation delay between any two
-// sites living in different shards of the given partition (home[site] =
-// shard), or 0 when the partition has fewer than two shards. This is the
-// conservative lookahead of the sharded kernel: no event on one shard can
-// schedule anything on another shard sooner than this, because the signal
-// has to cross at least that much waveguide. For contiguous per-row
-// partitions of the paper's grid it comes out to one row pitch of routing
-// (2.25 cm × 0.1 ns/cm = 225 ps).
-func (t *PathTable) MinCrossDelay(home []int) sim.Time {
-	var min sim.Time
-	found := false
-	for a := 0; a < t.n; a++ {
-		for b := 0; b < t.n; b++ {
-			if home[a] == home[b] {
-				continue
-			}
-			if d := t.delay[a*t.n+b]; !found || d < min {
-				min, found = d, true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return min
-}
-
 // PathLossDB returns the distance-dependent unswitched link budget for one
 // ordered site pair: the fixed electro-optic terms of the canonical §2 link
 // (modulator + WDM mux + both OPxC bounces + the selected drop filter) plus

@@ -7,25 +7,27 @@ import (
 	"testing"
 )
 
+// roundTripMsgs holds one message of every type.
+var roundTripMsgs = []Msg{
+	{Type: TypeHello, Version: Version, Worker: "proc-0", Credits: DefaultCredits},
+	{Type: TypeCell, ID: 7, Kind: "loadpoint", Spec: []byte(`{"load":0.5}`)},
+	{Type: TypeResult, ID: 7, Value: []byte(`{"events":42}`)},
+	{Type: TypeError, ID: 9, Error: "cell panicked: boom"},
+	{Type: TypeShutdown},
+}
+
 // TestRoundTrip pins that every message type written by Write is read back
 // field-for-field by Read — the whole protocol is these two functions, so
 // this is the compatibility contract between coordinator and worker builds.
 func TestRoundTrip(t *testing.T) {
-	msgs := []Msg{
-		{Type: TypeHello, Version: Version, Worker: "proc-0", Credits: DefaultCredits},
-		{Type: TypeCell, ID: 7, Kind: "loadpoint", Spec: []byte(`{"load":0.5}`)},
-		{Type: TypeResult, ID: 7, Value: []byte(`{"events":42}`)},
-		{Type: TypeError, ID: 9, Error: "cell panicked: boom"},
-		{Type: TypeShutdown},
-	}
 	var b strings.Builder
-	for _, m := range msgs {
+	for _, m := range roundTripMsgs {
 		if err := Write(&b, m); err != nil {
 			t.Fatalf("Write(%+v): %v", m, err)
 		}
 	}
 	r := NewReader(strings.NewReader(b.String()))
-	for i, want := range msgs {
+	for i, want := range roundTripMsgs {
 		got, err := r.Read()
 		if err != nil {
 			t.Fatalf("Read #%d: %v", i, err)
@@ -42,38 +44,41 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// rejectionCases are lines the grammar rejects, each with its Reason; max,
+// when positive, shrinks the reader's line cap.
+var rejectionCases = []struct {
+	name   string
+	input  string
+	max    int
+	reason string
+}{
+	{"not JSON", "this is not json\n", 0, ReasonMalformed},
+	{"empty line", "\n", 0, ReasonMalformed},
+	{"truncated at EOF", `{"type":"shutdown"}`, 0, ReasonMalformed},
+	{"two messages one line", `{"type":"shutdown"} {"type":"shutdown"}` + "\n", 0, ReasonMalformed},
+	{"unknown field", `{"type":"shutdown","bogus":1}` + "\n", 0, ReasonMalformed},
+	{"oversized", `{"type":"` + strings.Repeat("x", 100) + `"}` + "\n", 64, ReasonOversized},
+	{"unknown type", `{"type":"launch-missiles"}` + "\n", 0, ReasonBadType},
+	{"empty type", `{"id":3}` + "\n", 0, ReasonBadType},
+	{"hello without version", `{"type":"hello","worker":"w"}` + "\n", 0, ReasonIncomplete},
+	{"v2 hello without credits", `{"type":"hello","version":2,"worker":"w"}` + "\n", 0, ReasonIncomplete},
+	{"v1 hello without credits", `{"type":"hello","version":1,"worker":"w"}` + "\n", 0, ReasonIncomplete},
+	{"hello negative credits", `{"type":"hello","version":1,"worker":"w","credits":-3}` + "\n", 0, ReasonIncomplete},
+	{"cell without id", `{"type":"cell","kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
+	{"cell negative id", `{"type":"cell","id":-1,"kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
+	{"cell without kind", `{"type":"cell","id":1,"spec":{}}` + "\n", 0, ReasonIncomplete},
+	{"cell without spec", `{"type":"cell","id":1,"kind":"loadpoint"}` + "\n", 0, ReasonIncomplete},
+	{"result without id", `{"type":"result","value":{}}` + "\n", 0, ReasonIncomplete},
+	{"result without value", `{"type":"result","id":4}` + "\n", 0, ReasonIncomplete},
+	{"error without id", `{"type":"error","error":"x"}` + "\n", 0, ReasonIncomplete},
+	{"error without message", `{"type":"error","id":4}` + "\n", 0, ReasonIncomplete},
+}
+
 // TestReadRejections pins the grammar: every malformed, oversized, or
 // incomplete line is rejected with a *ProtocolError carrying the documented
 // Reason — the coordinator's teardown-and-reassign policy keys off these.
 func TestReadRejections(t *testing.T) {
-	cases := []struct {
-		name   string
-		input  string
-		max    int
-		reason string
-	}{
-		{"not JSON", "this is not json\n", 0, ReasonMalformed},
-		{"empty line", "\n", 0, ReasonMalformed},
-		{"truncated at EOF", `{"type":"shutdown"}`, 0, ReasonMalformed},
-		{"two messages one line", `{"type":"shutdown"} {"type":"shutdown"}` + "\n", 0, ReasonMalformed},
-		{"unknown field", `{"type":"shutdown","bogus":1}` + "\n", 0, ReasonMalformed},
-		{"oversized", `{"type":"` + strings.Repeat("x", 100) + `"}` + "\n", 64, ReasonOversized},
-		{"unknown type", `{"type":"launch-missiles"}` + "\n", 0, ReasonBadType},
-		{"empty type", `{"id":3}` + "\n", 0, ReasonBadType},
-		{"hello without version", `{"type":"hello","worker":"w"}` + "\n", 0, ReasonIncomplete},
-		{"v2 hello without credits", `{"type":"hello","version":2,"worker":"w"}` + "\n", 0, ReasonIncomplete},
-		{"v1 hello without credits", `{"type":"hello","version":1,"worker":"w"}` + "\n", 0, ReasonIncomplete},
-		{"hello negative credits", `{"type":"hello","version":1,"worker":"w","credits":-3}` + "\n", 0, ReasonIncomplete},
-		{"cell without id", `{"type":"cell","kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
-		{"cell negative id", `{"type":"cell","id":-1,"kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
-		{"cell without kind", `{"type":"cell","id":1,"spec":{}}` + "\n", 0, ReasonIncomplete},
-		{"cell without spec", `{"type":"cell","id":1,"kind":"loadpoint"}` + "\n", 0, ReasonIncomplete},
-		{"result without id", `{"type":"result","value":{}}` + "\n", 0, ReasonIncomplete},
-		{"result without value", `{"type":"result","id":4}` + "\n", 0, ReasonIncomplete},
-		{"error without id", `{"type":"error","error":"x"}` + "\n", 0, ReasonIncomplete},
-		{"error without message", `{"type":"error","id":4}` + "\n", 0, ReasonIncomplete},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectionCases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewReader(strings.NewReader(tc.input))
 			if tc.max > 0 {

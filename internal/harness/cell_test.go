@@ -129,9 +129,8 @@ func TestModelSaltTripwire(t *testing.T) {
 
 // TestCellKeyCoversEverySpecField perturbs each JSON-visible leaf of every
 // kind's spec, one at a time, and requires the cache key to change: no
-// field may reach a run without reaching the key. Shards, which selects a
-// kernel rather than a result, is the one field JSON may not see, and must
-// leave the key alone.
+// field may reach a run without reaching the key, and no field may be
+// hidden from JSON.
 func TestCellKeyCoversEverySpecField(t *testing.T) {
 	cells := tinyCells()
 	inf := cells["inference"].(inference)
@@ -149,12 +148,8 @@ func TestCellKeyCoversEverySpecField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantHidden []string
-		if kind == "loadpoint" {
-			wantHidden = []string{"loadpoint.Shards"}
-		}
-		if hidden := hiddenFields(reflect.TypeOf(base), kind); !reflect.DeepEqual(hidden, wantHidden) {
-			t.Errorf("%s: fields hidden from the key: %v, want %v", kind, hidden, wantHidden)
+		if hidden := hiddenFields(reflect.TypeOf(base), kind); len(hidden) != 0 {
+			t.Errorf("%s: fields hidden from the key: %v", kind, hidden)
 		}
 		leaves := 0
 		jsonLeaves(reflect.ValueOf(base), kind, func(string, reflect.Value) { leaves++ })
@@ -183,13 +178,6 @@ func TestCellKeyCoversEverySpecField(t *testing.T) {
 				t.Errorf("perturbing %s leaves the key unchanged", path)
 			}
 		}
-	}
-
-	lp := cells["loadpoint"].(loadpoint)
-	serialKey, _, _ := cellKey(lp.kind(), lp)
-	lp.Shards = 4
-	if shardedKey, _, _ := cellKey(lp.kind(), lp); shardedKey != serialKey {
-		t.Error("Shards changes the loadpoint key")
 	}
 }
 
@@ -253,33 +241,5 @@ func perturb(t *testing.T, path string, v reflect.Value) {
 		v.SetFloat(v.Float() + 1)
 	default:
 		t.Fatalf("%s: no perturbation for kind %s", path, v.Kind())
-	}
-}
-
-// TestShardedLoadPointServedFromSerialEntry pins the consequence of
-// Shards staying out of the key: a sharded run of a point is served from
-// the entry a serial run wrote.
-func TestShardedLoadPointServedFromSerialEntry(t *testing.T) {
-	r := Runner{Workers: 1, Cache: openTestCache(t)}
-	base := quickCfg()
-	run := func(shards int) string {
-		base.Shards = shards
-		panel, err := Figure6PanelWith(r, base, "uniform", []networks.Kind{networks.PointToPoint}, []float64{0.02})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.Marshal(panel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(out)
-	}
-	serial := run(0)
-	sharded := run(4)
-	if st := r.Cache.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("cache stats = %+v, want the sharded run served by exactly one hit", st)
-	}
-	if sharded != serial {
-		t.Errorf("sharded result %s != serial %s", sharded, serial)
 	}
 }

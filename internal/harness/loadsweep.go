@@ -6,7 +6,6 @@ package harness
 
 import (
 	"macrochip/internal/core"
-	"macrochip/internal/geometry"
 	"macrochip/internal/metrics"
 	"macrochip/internal/networks"
 	"macrochip/internal/sim"
@@ -26,16 +25,6 @@ type LoadPointConfig struct {
 	// Warmup and Measure are the settle and measurement windows.
 	Warmup, Measure sim.Time
 	Seed            int64
-
-	// Shards selects the simulation kernel: with Shards >= 2 the point runs
-	// on the conservative sharded engine (sim.ShardedEngine), sites
-	// partitioned into contiguous row blocks and the minimum cross-shard
-	// optical propagation delay as lookahead; 0 or 1 is the serial
-	// reference kernel. Results are byte-identical at every shard count
-	// (pinned by the sharded identity tests), so the cache key ignores
-	// this field. Designs without a sharded variant, and instrumented
-	// (Obs) runs, fall back to the serial kernel regardless.
-	Shards int
 
 	// Obs, when enabled, wires the observability layer into the network and
 	// generator. Sampling is read-only, so instrumented results are
@@ -83,12 +72,7 @@ func DefaultLoadPointConfig() LoadPointConfig {
 }
 
 // RunLoadPoint simulates one point of the latency-vs-offered-load curve.
-// With cfg.Shards >= 2 it runs on the sharded kernel when the network
-// supports it (see runLoadPointSharded); output is identical either way.
 func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
-	if pt, ok := runLoadPointSharded(cfg); ok {
-		return pt
-	}
 	eng := sim.NewEngine()
 	stats := core.NewStats(cfg.Warmup)
 	end := cfg.Warmup + cfg.Measure
@@ -119,22 +103,10 @@ func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 			metrics.NewProbe(eng, cfg.Obs.Reg, interval).Start(end + cfg.Measure)
 		}
 	}
-	return finishLoadPoint(cfg, eng, stats)
-}
-
-// finishLoadPoint drives a fully constructed simulation to the drain cutoff
-// and assembles the result — the kernel-agnostic tail of RunLoadPoint,
-// shared by the serial and sharded paths through the sim.Scheduler seam.
-func finishLoadPoint(cfg LoadPointConfig, sched sim.Scheduler, stats *core.Stats) LoadPoint {
 	// Run past the injection horizon so in-flight packets drain enough for
 	// stable statistics, then cut off: a saturated network would never
 	// drain completely.
-	sched.RunUntil(cfg.Warmup + 2*cfg.Measure)
-	return assembleLoadPoint(cfg, stats, sched.Executed())
-}
-
-// assembleLoadPoint reads the finished run's statistics into a LoadPoint.
-func assembleLoadPoint(cfg LoadPointConfig, stats *core.Stats, events uint64) LoadPoint {
+	eng.RunUntil(end + cfg.Measure)
 	offered := cfg.Load * cfg.Params.SiteBandwidthGBs * float64(cfg.Params.Grid.Sites())
 	thru := stats.ThroughputGBs()
 	return LoadPoint{
@@ -147,86 +119,11 @@ func assembleLoadPoint(cfg LoadPointConfig, stats *core.Stats, events uint64) Lo
 		Saturated:     thru < 0.90*offered,
 		Delivered:     stats.Delivered,
 		InFlight:      stats.InFlight(),
-		Events:        events,
+		Events:        eng.Executed(),
 	}
-}
-
-// ShardHomes partitions the grid's sites into `shards` contiguous row
-// blocks (the sharded kernel's default partition: rows share channels in no
-// evaluated design, while the inter-row pitch puts a physical floor under
-// cross-shard event delay). The shard count is clamped to the row count —
-// finer than one row per shard would need intra-row lookahead the physics
-// does not provide. It returns the site→shard map and the effective count.
-func ShardHomes(g geometry.Grid, shards int) ([]int, int) {
-	if shards > g.N {
-		shards = g.N
-	}
-	if shards < 2 {
-		return nil, 1
-	}
-	home := make([]int, g.Sites())
-	for s := range home {
-		row := s / g.N
-		home[s] = row * shards / g.N
-	}
-	return home, shards
-}
-
-// runLoadPointSharded is the sharded-kernel path of RunLoadPoint. The
-// second result is false when the point cannot shard — fewer than two
-// effective shards, a network without a sharded variant, or an instrumented
-// run (the observability layer assumes the single-threaded kernel) — and
-// the caller falls back to the serial reference.
-func runLoadPointSharded(cfg LoadPointConfig) (LoadPoint, bool) {
-	if cfg.Shards < 2 || cfg.Obs.Enabled() {
-		return LoadPoint{}, false
-	}
-	home, shards := ShardHomes(cfg.Params.Grid, cfg.Shards)
-	if shards < 2 {
-		return LoadPoint{}, false
-	}
-	lookahead := core.NewPathTable(cfg.Params).MinCrossDelay(home)
-	if lookahead <= 0 {
-		return LoadPoint{}, false
-	}
-	end := cfg.Warmup + cfg.Measure
-	se := sim.NewShardedEngine(shards, lookahead)
-	stats := make([]*core.Stats, shards)
-	for i := range stats {
-		stats[i] = core.NewStats(cfg.Warmup)
-		stats[i].MeasureEnd = end
-	}
-	net, ok := networks.NewSharded(cfg.Network, se, cfg.Params, home, stats)
-	if !ok {
-		return LoadPoint{}, false
-	}
-	gen := &traffic.ShardedOpenLoop{
-		SE:          se,
-		Params:      cfg.Params,
-		Net:         net,
-		Pattern:     cfg.Pattern,
-		Load:        cfg.Load,
-		PacketBytes: cfg.PacketBytes,
-		Until:       end,
-		Seed:        cfg.Seed,
-		Home:        home,
-	}
-	gen.Start()
-	se.RunUntil(end + cfg.Measure)
-	// Reduce the per-shard sinks; every merged quantity is order-
-	// independent, so the totals match the serial kernel's bit for bit
-	// (see core.Stats.MergeFrom and the sharded identity tests).
-	total := stats[0]
-	for _, s := range stats[1:] {
-		total.MergeFrom(s)
-	}
-	return assembleLoadPoint(cfg, total, se.Executed()), true
 }
 
 // loadpoint is the cell spec of one figure-6 load point (see cell.go).
-// Shards picks a kernel, not a result, so it stays out of the key and off
-// the wire: a remote point runs on the worker's serial kernel, which the
-// shard-identity tests pin as byte-identical.
 type loadpoint struct {
 	Params      core.Params   `json:"params"`
 	Network     networks.Kind `json:"network"`
@@ -236,7 +133,6 @@ type loadpoint struct {
 	Warmup      sim.Time      `json:"warmup_ps"`
 	Measure     sim.Time      `json:"measure_ps"`
 	Seed        int64         `json:"seed"`
-	Shards      int           `json:"-"`
 }
 
 func (loadpoint) kind() string { return "loadpoint" }
@@ -255,7 +151,6 @@ func (c loadpoint) run() (LoadPoint, error) {
 		Warmup:      c.Warmup,
 		Measure:     c.Measure,
 		Seed:        c.Seed,
-		Shards:      c.Shards,
 	}), nil
 }
 
@@ -271,7 +166,6 @@ func (cfg LoadPointConfig) cell() loadpoint {
 		Warmup:      cfg.Warmup,
 		Measure:     cfg.Measure,
 		Seed:        cfg.Seed,
-		Shards:      cfg.Shards,
 	}
 }
 

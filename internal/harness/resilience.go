@@ -39,13 +39,6 @@ type ResilienceConfig struct {
 	// Retry is the end-to-end recovery policy of the traffic layer.
 	Retry traffic.RetryPolicy
 	Seed  int64
-
-	// Shards mirrors LoadPointConfig.Shards so -shards means the same thing
-	// on every CLI. Reserved: the resilience sweep always runs the serial
-	// reference kernel — the fault decorator and the retry bookkeeping watch
-	// state across sites in ways the sharded kernel's site partition does
-	// not admit — so every value produces byte-identical output.
-	Shards int
 }
 
 // DefaultResilienceConfig returns a sweep that stresses all six networks

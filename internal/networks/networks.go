@@ -66,23 +66,3 @@ func MustNew(kind Kind, eng *sim.Engine, p core.Params, stats *core.Stats) core.
 	}
 	return n
 }
-
-// NewSharded constructs the sharded variant of a network for the
-// conservative parallel kernel, when the design admits one. home[site]
-// assigns sites to shards of se; stats holds one sink per shard.
-//
-// Only the point-to-point fabric is shardable today: its channels are
-// source-owned and it has no arbitration, so a site partition leaves no
-// shared state (see DESIGN.md §15). The global designs — token ring,
-// circuit-switched, both two-phase variants, and limited point-to-point's
-// shared row/column channels with backlog-comparing route choice — serialize
-// through shared arbitration or tie-sensitive shared queues; for them the
-// second result is false and callers fall back to the serial kernel, which
-// keeps `-shards N` output trivially identical for every network.
-func NewSharded(kind Kind, se *sim.ShardedEngine, p core.Params, home []int, stats []*core.Stats) (core.Injector, bool) {
-	switch kind {
-	case PointToPoint:
-		return ptp.NewSharded(se, p, home, stats), true
-	}
-	return nil, false
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,6 +22,12 @@ const (
 	StatusFailed  = "failed"
 	StatusAborted = "aborted"
 )
+
+// maxFinishedJobs bounds how many terminal jobs the daemon remembers. Past
+// it the oldest terminal jobs are forgotten, and their IDs answer 404 like
+// unknown ones; queued and running jobs are never evicted. With a cache
+// configured, resubmitting an evicted config is a cache hit.
+const maxFinishedJobs = 1024
 
 // Terminal reports whether a status will never change again.
 func Terminal(status string) bool {
@@ -98,6 +105,7 @@ type Queue struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string
+	terminal int // terminal jobs in jobs, kept <= maxFinishedJobs
 	seq      int
 	draining bool
 }
@@ -257,6 +265,7 @@ func (q *Queue) run(j *job) {
 	}
 	elapsed := j.finished.Sub(j.started)
 	status := j.status
+	q.retireLocked()
 	q.mu.Unlock()
 	close(j.done)
 	q.log.Info("experiment finished",
@@ -296,10 +305,29 @@ func (q *Queue) Drain(ctx context.Context) error {
 			j.errMsg = "server shut down before the experiment started"
 			j.finished = q.now()
 			close(j.done)
+			q.retireLocked()
 		}
 	}
 	q.mu.Unlock()
 	return err
+}
+
+// retireLocked counts one more terminal job and, past maxFinishedJobs,
+// forgets the oldest terminal job in submission order. Each call adds one
+// terminal job, so evicting one keeps the bound.
+func (q *Queue) retireLocked() {
+	q.terminal++
+	if q.terminal <= maxFinishedJobs {
+		return
+	}
+	for i, id := range q.order {
+		if Terminal(q.jobs[id].status) {
+			delete(q.jobs, id)
+			q.order = slices.Delete(q.order, i, i+1)
+			q.terminal--
+			return
+		}
+	}
 }
 
 // Draining reports whether a drain has begun.

@@ -301,8 +301,7 @@ func TestMalformedConfigs(t *testing.T) {
 		{"bad scale", `{"kind":"study","scale":99}`, "scale"},
 		{"negative mtu", `{"kind":"inference","mtu":-4096}`, "mtu"},
 		{"oversized mtu", `{"kind":"inference","mtu":2097152}`, "mtu"},
-		{"negative shards", `{"kind":"figure6","pattern":"uniform","shards":-2}`, "shards"},
-		{"oversized shards", `{"kind":"figure6","pattern":"uniform","shards":65}`, "shards"},
+		{"unknown shards field", `{"kind":"figure6","pattern":"uniform","shards":2}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -484,4 +483,60 @@ func ExampleExperimentConfig() {
 	cfg, _ := ExperimentConfig{Kind: "scaling", GridSizes: []int{4}}.normalize()
 	fmt.Println(cfg.Kind, cfg.Seed, cfg.GridSizes)
 	// Output: scaling 1 [4]
+}
+
+// TestFinishedJobRetentionBounded pins the retention bound: past
+// maxFinishedJobs terminal jobs the oldest are forgotten and answer 404
+// exactly like an unknown ID, while the newest still serves its result.
+func TestFinishedJobRetentionBounded(t *testing.T) {
+	s, ts, _ := newTestServer(t, nil)
+	var cfg ExperimentConfig
+	if err := json.Unmarshal([]byte(tinyFigure6), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cfg.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first job computes; every later one is a cache hit. Batches keep
+	// both workers finishing (and evicting) at once.
+	var ids []string
+	for len(ids) < maxFinishedJobs+10 {
+		var batch []<-chan struct{}
+		for i := 0; i < 32; i++ {
+			view, err := s.Queue().Submit(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, _ := s.Queue().Done(view.ID)
+			batch = append(batch, done)
+			ids = append(ids, view.ID)
+		}
+		for _, done := range batch {
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("job never finished")
+			}
+		}
+	}
+
+	if _, _, finished := s.Queue().Counts(); finished > maxFinishedJobs {
+		t.Errorf("Counts reports %d finished jobs, bound is %d", finished, maxFinishedJobs)
+	}
+	if n := len(s.Queue().List()); n > maxFinishedJobs {
+		t.Errorf("List returns %d jobs, bound is %d", n, maxFinishedJobs)
+	}
+	for _, path := range []string{"", "/result"} {
+		_, _, unknown := get(t, ts.URL+"/v1/experiments/exp-999999"+path)
+		code, _, raw := get(t, ts.URL+"/v1/experiments/"+ids[0]+path)
+		if code != http.StatusNotFound || !bytes.Equal(raw, unknown) {
+			t.Errorf("evicted %s%s = %d %s, want 404 %s", ids[0], path, code, raw, unknown)
+		}
+	}
+	newest := ids[len(ids)-1]
+	code, _, raw := get(t, ts.URL+"/v1/experiments/"+newest+"/result?format=csv")
+	if code != http.StatusOK || len(raw) == 0 {
+		t.Fatalf("newest %s result = %d: %s", newest, code, raw)
+	}
 }
