@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt staticcheck perfbench-test bench-smoke fuzz-smoke bench-json serve-smoke dist-smoke check figures report
+.PHONY: build test race vet fmt staticcheck perfbench-test bench-smoke fuzz-smoke serve-smoke dist-smoke check figures report
 
 build:
 	$(GO) build ./...
@@ -41,29 +41,13 @@ perfbench-test:
 # a benchmark that no longer builds or an allocation-guard regression that
 # panics, without timing noise.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
 # fuzz-smoke runs the distributed-protocol frame parser's fuzz target for a
 # few seconds: Read must never panic on arbitrary bytes, and every message
 # it accepts must survive a Write/Read round trip.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/distrib
-
-# bench-json regenerates the committed kernel-performance baseline: the
-# per-network load-point benchmarks, the miniature full sweep (uncached and
-# cold-cache variants), the operator-graph replay benchmarks, and the
-# distributed-sweep benchmark (the same miniature sweep through 1/2/4
-# in-process pipe workers vs serial — the delta is the per-cell
-# distribution tax), captured both in raw `go test -bench` form
-# ($(BENCH_BASELINE).txt, for benchstat) and as JSON ($(BENCH_BASELINE).json,
-# for dashboards and PR-to-PR diffs). BENCH_BASELINE names the committed
-# files; bump it per baseline-refreshing PR so history stays diffable.
-BENCH_COUNT ?= 5
-BENCH_BASELINE ?= BENCH_pr10
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunLoadPoint|BenchmarkLoadSweep|BenchmarkOpGraphReplay|BenchmarkInferenceSweep|BenchmarkDistributedSweep' \
-		-benchmem -count $(BENCH_COUNT) ./internal/harness | tee $(BENCH_BASELINE).txt
-	$(GO) run ./cmd/benchjson < $(BENCH_BASELINE).txt > $(BENCH_BASELINE).json
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second

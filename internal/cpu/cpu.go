@@ -9,6 +9,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"macrochip/internal/coherence"
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
@@ -94,6 +96,7 @@ func Run(b Benchmark, eng *sim.Engine, p core.Params, net core.Network, stats *c
 				coh:    coh,
 				onDone: func() { done++ },
 			}
+			cr.onIssued = cr.execute
 			cr.execute()
 		}
 	}
@@ -122,6 +125,10 @@ type coreState struct {
 	eng    *sim.Engine
 	coh    *coherence.Engine
 	onDone func()
+	// onIssued is c.execute bound once at construction: every miss hands
+	// the same func value to coherence.Op.OnIssued instead of allocating
+	// a fresh closure.
+	onIssued func()
 }
 
 // execute runs the next trace segment: a run of hit instructions followed
@@ -141,13 +148,17 @@ func (c *coreState) execute() {
 	}
 	c.remain -= gap
 	execTime := c.p.Cycles(gap)
-	c.eng.Schedule(execTime, func() {
-		if c.remain <= 0 {
-			c.onDone()
-			return
-		}
-		c.issueMiss()
-	})
+	c.eng.ScheduleCall(execTime, c, sim.EventArg{})
+}
+
+// OnEvent ends the trace segment scheduled by execute: the core either
+// finishes its quota or issues the miss that closed the segment.
+func (c *coreState) OnEvent(*sim.Engine, sim.EventArg) {
+	if c.remain <= 0 {
+		c.onDone()
+		return
+	}
+	c.issueMiss()
 }
 
 // issueMiss builds the coherence operation for this miss and hands it to
@@ -159,7 +170,7 @@ func (c *coreState) issueMiss() {
 	op := &coherence.Op{
 		Requester: c.site,
 		Home:      home,
-		OnIssued:  func() { c.execute() },
+		OnIssued:  c.onIssued,
 	}
 	mix := c.bench.Mix
 	if mix.PSharers > 0 && c.rng.Bool(mix.PSharers) {
@@ -170,20 +181,20 @@ func (c *coreState) issueMiss() {
 }
 
 // pickSharers selects k distinct sharer sites different from the requester
-// and the home.
+// and the home. k is at most a few (the mixes use 1 and 3), so a rejected
+// draw is found by scanning the sites already excluded rather than through
+// a per-miss set.
 func (c *coreState) pickSharers(home geometry.SiteID, k int) []geometry.SiteID {
 	sites := c.p.Grid.Sites()
 	if k > sites-2 {
 		k = sites - 2
 	}
 	chosen := make([]geometry.SiteID, 0, k)
-	used := map[geometry.SiteID]bool{c.site: true, home: true}
 	for len(chosen) < k {
 		s := geometry.SiteID(c.rng.Intn(sites))
-		if used[s] {
+		if s == c.site || s == home || slices.Contains(chosen, s) {
 			continue
 		}
-		used[s] = true
 		chosen = append(chosen, s)
 	}
 	return chosen

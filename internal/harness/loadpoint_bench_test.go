@@ -29,10 +29,9 @@ func benchLoadPointConfig(kind networks.Kind) LoadPointConfig {
 }
 
 // BenchmarkRunLoadPoint times one load-sweep simulation per network — the
-// inner loop of every figure-6 sweep and saturation search. The committed
-// BENCH_pr4.json baseline pins these numbers; regenerate it with
-// `make bench-json`. Same-machine A/B comparisons go through
-// perfbench/ab.sh.
+// inner loop of every figure-6 sweep and saturation search. Its numbers are
+// only comparable on one machine: speed claims go through perfbench/ab.sh,
+// the interleaved same-machine A/B of two revisions.
 func BenchmarkRunLoadPoint(b *testing.B) {
 	for _, k := range networks.Six() {
 		cfg := benchLoadPointConfig(k)

@@ -194,22 +194,41 @@ func TestEngineEventPoolingAllocationFree(t *testing.T) {
 }
 
 func TestEngineQueueReusesCapacity(t *testing.T) {
-	// White-box: dispatching must shrink the live queue without releasing
-	// its backing array, and the vacated slot must be zeroed so it cannot
-	// pin dead callbacks.
+	// White-box: dispatching must leave every vacated slab slot zeroed, so
+	// no slot pins a dead packet or closure, and freed slots must be reused,
+	// so the slab grows with the peak pending count, not with total events.
 	e := NewEngine()
-	e.Schedule(0, func() {})
-	e.Schedule(1, func() {})
-	e.Run()
-	if len(e.events) != 0 {
-		t.Fatalf("queue length = %d after Run, want 0", len(e.events))
+	payload := &struct{ v int }{}
+	var h countHandler
+	const rounds, peak = 50, 4
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < peak; i++ {
+			if i%2 == 0 {
+				e.Schedule(Duration(i), func() {})
+			} else {
+				e.ScheduleCall(Duration(i), &h, EventArg{Ptr: payload})
+			}
+		}
+		e.Run()
 	}
-	if cap(e.events) < 2 {
-		t.Fatalf("queue capacity = %d after Run, want >= 2 (backing array retained)", cap(e.events))
+	if e.Pending() != 0 || len(e.keys) != 0 {
+		t.Fatalf("pending = %d, keys = %d after Run, want 0/0", e.Pending(), len(e.keys))
 	}
-	for _, ev := range e.events[:cap(e.events)] {
-		if ev.fn != nil || ev.h != nil || ev.arg.Ptr != nil {
-			t.Fatal("vacated queue slot still holds callback references")
+	if e.Executed() != rounds*peak {
+		t.Fatalf("executed %d events, want %d", e.Executed(), rounds*peak)
+	}
+	if cap(e.keys) < peak {
+		t.Fatalf("key heap capacity = %d after Run, want >= %d (backing array retained)", cap(e.keys), peak)
+	}
+	if len(e.slab) > peak {
+		t.Fatalf("slab length = %d after %d events, want <= peak pending %d", len(e.slab), rounds*peak, peak)
+	}
+	if len(e.free) != len(e.slab) {
+		t.Fatalf("free list holds %d of %d slots on an idle engine, want all", len(e.free), len(e.slab))
+	}
+	for i, p := range e.slab[:cap(e.slab)] {
+		if p.fn != nil || p.h != nil || p.arg.Ptr != nil {
+			t.Fatalf("vacated slab slot %d still holds callback references", i)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // --- (time, seq) dispatch-order property ---------------------------------
@@ -66,6 +70,192 @@ func TestQueueDispatchOrderProperty(t *testing.T) {
 	}
 }
 
+// orderRecorder is the deep-queue property's handler: it logs each dispatch
+// as (time, id) and, while budget remains, schedules children from inside
+// its own dispatch so the queue stays deep and freed slab slots are reused.
+type orderRecorder struct {
+	rng    *rand.Rand
+	want   []refEvent
+	got    []refEvent
+	budget int
+	peak   int
+}
+
+func (r *orderRecorder) add(e *Engine, at Time) {
+	id := len(r.want)
+	r.want = append(r.want, refEvent{at: at, seq: id})
+	e.CallAt(at, r, EventArg{A: uint64(id)})
+	if p := e.Pending(); p > r.peak {
+		r.peak = p
+	}
+}
+
+func (r *orderRecorder) OnEvent(e *Engine, arg EventArg) {
+	r.got = append(r.got, refEvent{at: e.Now(), seq: int(arg.A)})
+	// Zero, one or two children (one on average): the depth random-walks
+	// around its starting level instead of draining.
+	for n := r.rng.Intn(3); n > 0 && r.budget > 0; n-- {
+		r.budget--
+		r.add(e, e.Now()+Time(r.rng.Intn(32)))
+	}
+}
+
+// TestQueueDispatchOrderPropertyDeep is the deep-queue variant of
+// TestQueueDispatchOrderProperty, at the pending depths of saturated
+// figure-6 cells: ~50k events over a few dozen timestamps (so ties run to
+// thousands deep), drained in RunUntil steps that interleave fresh batches
+// with schedule-during-dispatch, so vacated slab slots are reclaimed while
+// the heap is full. Dispatch must match the same stable-sort reference, and
+// the slab must stay as long as the peak pending count.
+func TestQueueDispatchOrderPropertyDeep(t *testing.T) {
+	const depth = 50_000
+	e := NewEngine()
+	r := &orderRecorder{rng: rand.New(rand.NewSource(7)), budget: 2 * depth}
+	for i := 0; i < depth; i++ {
+		r.add(e, Time(r.rng.Intn(32)))
+	}
+	for step := 0; e.Pending() > 0; step++ {
+		e.RunUntil(e.Now() + 4)
+		for i := 0; step%4 == 0 && i < 1000 && r.budget > 0; i++ {
+			r.budget--
+			r.add(e, e.Now()+Time(r.rng.Intn(32)))
+		}
+	}
+	if r.peak < depth {
+		t.Fatalf("peak pending %d, want >= %d", r.peak, depth)
+	}
+	if len(e.slab) > r.peak {
+		t.Fatalf("slab length %d exceeds peak pending %d after %d events", len(e.slab), r.peak, len(r.want))
+	}
+	sort.SliceStable(r.want, func(i, j int) bool { return r.want[i].at < r.want[j].at })
+	if len(r.got) != len(r.want) {
+		t.Fatalf("dispatched %d events, want %d", len(r.got), len(r.want))
+	}
+	for i := range r.want {
+		if r.got[i] != r.want[i] {
+			t.Fatalf("dispatch[%d] = %+v, want %+v", i, r.got[i], r.want[i])
+		}
+	}
+}
+
+// --- key layout and tag limits -------------------------------------------
+
+// TestKeyIsPointerFree16Bytes guards the point of the key/slab split: heap
+// sifts move 16-byte keys with no pointer words, so the GC never scans the
+// heap array and moves pay no write barriers.
+func TestKeyIsPointerFree16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(key{}); size != 16 {
+		t.Fatalf("unsafe.Sizeof(key{}) = %d, want 16", size)
+	}
+	kt := reflect.TypeOf(key{})
+	for i := 0; i < kt.NumField(); i++ {
+		f := kt.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Fatalf("key.%s has kind %v, want a plain integer (no pointer words)", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// mustPanic runs f and returns its panic message, failing if f returns.
+func mustPanic(t *testing.T, what string, f func()) string {
+	t.Helper()
+	var msg string
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+			msg = fmt.Sprint(r)
+		}()
+		f()
+	}()
+	return msg
+}
+
+func TestPackTagLimits(t *testing.T) {
+	if got, want := packTag(maxSeq, maxSlots-1), ^uint64(0); got != want {
+		t.Fatalf("packTag(maxSeq, maxSlots-1) = %#x, want %#x", got, want)
+	}
+	if got := packTag(3, 5); got != 3<<slotBits|5 {
+		t.Fatalf("packTag(3, 5) = %#x, want %#x", got, uint64(3<<slotBits|5))
+	}
+	if msg := mustPanic(t, "packTag(maxSeq+1)", func() { packTag(maxSeq+1, 0) }); !strings.Contains(msg, "event sequence") {
+		t.Fatalf("seq overflow panic %q does not name the sequence", msg)
+	}
+	if msg := mustPanic(t, "packTag(maxSlots)", func() { packTag(1, maxSlots) }); !strings.Contains(msg, "payload slab") {
+		t.Fatalf("slot overflow panic %q does not name the slab", msg)
+	}
+}
+
+// TestScheduleSeqOverflowPanics drives the sequence limit through the
+// public API (white-box: the counter is set next to its limit rather than
+// scheduling 2^40 events). The last legal sequence still dispatches in
+// order; the next schedule panics instead of wrapping.
+func TestScheduleSeqOverflowPanics(t *testing.T) {
+	e := NewEngine()
+	e.seq = maxSeq - 2
+	var order []int
+	e.Schedule(5, func() { order = append(order, 1) })
+	e.Schedule(5, func() { order = append(order, 2) })
+	msg := mustPanic(t, "schedule past maxSeq", func() { e.Schedule(5, func() {}) })
+	if !strings.Contains(msg, "overflows") {
+		t.Fatalf("panic %q does not name the overflow", msg)
+	}
+	e.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("dispatch order at the sequence limit = %v, want [1 2]", order)
+	}
+}
+
+// holdHandler reschedules itself on every dispatch (the classic hold model),
+// keeping the queue at a fixed depth.
+type holdHandler struct {
+	delays []Duration
+	i      int
+}
+
+func (h *holdHandler) OnEvent(e *Engine, _ EventArg) {
+	h.i++
+	e.ScheduleCall(h.delays[h.i%len(h.delays)], h, EventArg{})
+}
+
+// BenchmarkEngineHold times schedule+dispatch at a fixed pending depth: 1k
+// (a lightly loaded cell) and 80k/200k (the mean and peak depths of
+// saturated figure-6 cells). Delays are exponential with a 100 ns mean.
+// ns/event is the cost of one pop plus one push; queue-B/pending is the
+// memory the key heap, payload slab and free list hold per pending event.
+func BenchmarkEngineHold(b *testing.B) {
+	rng := NewRNG(1)
+	delays := make([]Duration, 4096)
+	for i := range delays {
+		delays[i] = rng.ExpDuration(100*Nanosecond) + 1
+	}
+	for _, depth := range []int{1_000, 80_000, 200_000} {
+		b.Run(fmt.Sprintf("pending=%dk", depth/1000), func(b *testing.B) {
+			e := NewEngine()
+			h := &holdHandler{delays: delays}
+			for i := 0; i < depth; i++ {
+				e.ScheduleCall(delays[(i*7)%len(delays)], h, EventArg{})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			bytes := cap(e.keys)*int(unsafe.Sizeof(key{})) +
+				cap(e.slab)*int(unsafe.Sizeof(payload{})) +
+				cap(e.free)*int(unsafe.Sizeof(uint32(0)))
+			b.ReportMetric(float64(bytes)/float64(e.Pending()), "queue-B/pending")
+		})
+	}
+}
+
 // --- RunUntil peek contract ----------------------------------------------
 
 func TestRunUntilEmptyQueue(t *testing.T) {
@@ -92,8 +282,8 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 	if ran != 1 || e.Pending() != 1 {
 		t.Fatalf("ran=%d pending=%d after RunUntil(100), want 1/1", ran, e.Pending())
 	}
-	if e.events[0].at != 200 {
-		t.Fatalf("queue head at %v, want 200 (future event must stay queued)", e.events[0].at)
+	if e.keys[0].at != 200 {
+		t.Fatalf("queue head at %v, want 200 (future event must stay queued)", e.keys[0].at)
 	}
 	e.RunUntil(300)
 	if ran != 2 || e.Pending() != 0 {
