@@ -41,13 +41,16 @@ perfbench-test:
 # a benchmark that no longer builds or an allocation-guard regression that
 # panics, without timing noise.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
+	$(GO) test -run '^$$' -bench 'EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
-# fuzz-smoke runs the distributed-protocol frame parser's fuzz target for a
-# few seconds: Read must never panic on arbitrary bytes, and every message
-# it accepts must survive a Write/Read round trip.
+# fuzz-smoke runs each parser fuzz target for a few seconds. The
+# distributed-protocol frame parser's Read must never panic on arbitrary
+# bytes, and every message it accepts must survive a Write/Read round trip.
+# The operator-graph JSON loader must never panic, and every graph it
+# accepts must validate and replay to completion.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/distrib
+	$(GO) test -run '^$$' -fuzz FuzzLoadJSON -fuzztime 10s ./internal/opgraph
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second
@@ -63,8 +66,8 @@ dist-smoke:
 	@sh scripts/dist_smoke.sh
 
 # check is the pre-merge gate: vet + formatting + lint + tests + race
-# detector + repo-benchmark module tests + benchmark smoke + frame-parser
-# fuzz smoke + daemon smoke + distributed smoke.
+# detector + repo-benchmark module tests + benchmark smoke + parser fuzz
+# smoke + daemon smoke + distributed smoke.
 check: vet fmt staticcheck test race perfbench-test bench-smoke fuzz-smoke serve-smoke dist-smoke
 
 figures:

@@ -63,15 +63,16 @@ func (o *Op) Messages() int {
 	}
 }
 
-// Engine drives coherence operations over a network, enforcing the per-site
-// MSHR limit.
 // MemoryBackend resolves home-site data fetches that miss the on-package
-// memory (see internal/memory). A nil backend means data is always on
+// memory (see internal/memory): Access runs done.OnEvent(eng, arg) once the
+// data is available at the home. A nil backend means data is always on
 // package — the paper's §5 baseline.
 type MemoryBackend interface {
-	Access(site int, bytes int, done func())
+	Access(site int, bytes int, done sim.Handler, arg sim.EventArg)
 }
 
+// Engine drives coherence operations over a network, enforcing the per-site
+// MSHR limit.
 type Engine struct {
 	eng *sim.Engine
 	p   core.Params
@@ -318,6 +319,15 @@ func (h *ackArrival) OnDeliver(_ *core.Packet, at sim.Time) {
 	}
 }
 
+// memDone fires when the memory backend has fetched the tracker's line at
+// the home, which then sends the data reply.
+type memDone tracker
+
+func (h *memDone) OnEvent(*sim.Engine, sim.EventArg) {
+	t := (*tracker)(h)
+	t.e.sendHomeData(t)
+}
+
 // lookupH fires when the home's directory lookup completes for the tracker
 // in arg.Ptr; timeoutH fires that tracker's delivery-timeout check. Both are
 // named pointer types over Engine, keeping the per-operation event chain
@@ -366,21 +376,8 @@ func (e *Engine) armTimeout(op *Op, t *tracker) {
 	if e.p.CoherenceTimeoutCycles <= 0 {
 		return
 	}
-	e.eng.ScheduleCall(e.backoff(t.attempt), (*timeoutH)(e), sim.EventArg{Ptr: t})
-}
-
-// backoff returns the timeout for the given attempt: base × 2^attempt,
-// plus up to one base of seeded jitter when a retry stream is installed.
-func (e *Engine) backoff(attempt int) sim.Duration {
-	base := e.p.Cycles(e.p.CoherenceTimeoutCycles)
-	if attempt > 20 {
-		attempt = 20 // cap the shift; far beyond any sane retry budget
-	}
-	d := base << attempt
-	if e.retryRNG != nil {
-		d += sim.Time(e.retryRNG.Float64() * float64(base))
-	}
-	return d
+	e.eng.ScheduleCall(core.Backoff(e.p.Cycles(e.p.CoherenceTimeoutCycles), t.attempt, e.retryRNG),
+		(*timeoutH)(e), sim.EventArg{Ptr: t})
 }
 
 // finish records a completed operation the moment its last response lands.
@@ -406,11 +403,9 @@ func (e *Engine) homeAction(op *Op, t *tracker) {
 	switch {
 	case len(op.Sharers) == 0:
 		// Unshared: the home supplies data — from its on-package memory,
-		// or after an off-package fetch when a memory backend is attached
-		// (the backend's done callback stays a closure: the off-package
-		// path is orders of magnitude colder than the network path).
+		// or after an off-package fetch when a memory backend is attached.
 		if e.mem != nil {
-			e.mem.Access(int(op.Home), e.p.DataMsgBytes, func() { e.sendHomeData(t) })
+			e.mem.Access(int(op.Home), e.p.DataMsgBytes, (*memDone)(t), sim.EventArg{})
 		} else {
 			e.sendHomeData(t)
 		}

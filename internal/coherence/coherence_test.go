@@ -40,11 +40,9 @@ func TestMessagesCount(t *testing.T) {
 func TestUnsharedMissLatency(t *testing.T) {
 	eng, p, coh := setup()
 	var lat sim.Time
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
-			OnComplete: func(l sim.Time) { lat = l },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
+		OnComplete: func(l sim.Time) { lat = l },
 	})
 	eng.Run()
 	// Request 16 B at 5 GB/s (3.2 ns) + prop 0.225 + directory 2 ns +
@@ -62,12 +60,10 @@ func TestDirtyOwnerForward(t *testing.T) {
 	eng, p, coh := setup()
 	g := p.Grid
 	var lat sim.Time
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: g.Site(0, 0), Home: g.Site(0, 1),
-			Sharers: []geometry.SiteID{g.Site(0, 2)}, Write: false,
-			OnComplete: func(l sim.Time) { lat = l },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: g.Site(0, 0), Home: g.Site(0, 1),
+		Sharers: []geometry.SiteID{g.Site(0, 2)}, Write: false,
+		OnComplete: func(l sim.Time) { lat = l },
 	})
 	eng.Run()
 	// Request (3.2 + 0.225) + dir 2 + forward 16 B home→owner (3.2 +
@@ -85,12 +81,10 @@ func TestInvalidationWaitsForAllAcks(t *testing.T) {
 	// completion is gated by the farthest ack.
 	var lat sim.Time
 	sharers := []geometry.SiteID{g.Site(0, 2), g.Site(3, 3), g.Site(7, 7)}
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: g.Site(0, 0), Home: g.Site(0, 1),
-			Sharers: sharers, Write: true,
-			OnComplete: func(l sim.Time) { lat = l },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: g.Site(0, 0), Home: g.Site(0, 1),
+		Sharers: sharers, Write: true,
+		OnComplete: func(l sim.Time) { lat = l },
 	})
 	eng.Run()
 	// Completion is gated by the slower of the data reply and the farthest
@@ -113,12 +107,10 @@ func TestInvalidationWaitsForAllAcks(t *testing.T) {
 func TestOnIssuedFiresBeforeCompletion(t *testing.T) {
 	eng, p, coh := setup()
 	var issuedAt, doneAt sim.Time = -1, -1
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(4, 4),
-			OnIssued:   func() { issuedAt = eng.Now() },
-			OnComplete: func(sim.Time) { doneAt = eng.Now() },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(4, 4),
+		OnIssued:   func() { issuedAt = eng.Now() },
+		OnComplete: func(sim.Time) { doneAt = eng.Now() },
 	})
 	eng.Run()
 	if issuedAt != 0 {
@@ -138,24 +130,22 @@ func TestMSHRLimitQueues(t *testing.T) {
 	coh := coherence.NewEngine(eng, p, net)
 	issued := 0
 	completed := 0
-	eng.Schedule(0, func() {
-		for i := 0; i < 5; i++ {
-			coh.Issue(&coherence.Op{
-				Requester: 0, Home: geometry.SiteID(i + 1),
-				OnIssued:   func() { issued++ },
-				OnComplete: func(sim.Time) { completed++ },
-			})
-		}
-		if issued != 2 {
-			t.Errorf("issued %d immediately, want 2 (MSHR limit)", issued)
-		}
-		if got := coh.QueuedAt(0); got != 3 {
-			t.Errorf("queued = %d, want 3", got)
-		}
-		if got := coh.OutstandingAt(0); got != 2 {
-			t.Errorf("outstanding = %d, want 2", got)
-		}
-	})
+	for i := 0; i < 5; i++ {
+		coh.Issue(&coherence.Op{
+			Requester: 0, Home: geometry.SiteID(i + 1),
+			OnIssued:   func() { issued++ },
+			OnComplete: func(sim.Time) { completed++ },
+		})
+	}
+	if issued != 2 {
+		t.Errorf("issued %d immediately, want 2 (MSHR limit)", issued)
+	}
+	if got := coh.QueuedAt(0); got != 3 {
+		t.Errorf("queued = %d, want 3", got)
+	}
+	if got := coh.OutstandingAt(0); got != 2 {
+		t.Errorf("outstanding = %d, want 2", got)
+	}
 	eng.Run()
 	if issued != 5 || completed != 5 {
 		t.Fatalf("issued=%d completed=%d, want 5/5", issued, completed)
@@ -167,11 +157,9 @@ func TestMSHRLimitQueues(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	eng, p, coh := setup()
-	eng.Schedule(0, func() {
-		for i := 1; i <= 3; i++ {
-			coh.Issue(&coherence.Op{Requester: 0, Home: geometry.SiteID(i)})
-		}
-	})
+	for i := 1; i <= 3; i++ {
+		coh.Issue(&coherence.Op{Requester: 0, Home: geometry.SiteID(i)})
+	}
 	eng.Run()
 	if coh.Completed != 3 {
 		t.Fatalf("completed = %d", coh.Completed)
@@ -203,13 +191,11 @@ func TestRetryRecoversFromPacketLoss(t *testing.T) {
 	eng, p, st, fnet, coh := faultySetup(1000, 8) // 1000 cycles = 200 ns timeout
 	var lat sim.Time = -1
 	fnet.StickPath(0, 1)
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 0, Home: 1,
-			OnComplete: func(l sim.Time) { lat = l },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: 0, Home: 1,
+		OnComplete: func(l sim.Time) { lat = l },
 	})
-	eng.At(100*sim.Nanosecond, func() { fnet.RepairPath(0, 1) })
+	eng.CallAt(100*sim.Nanosecond, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) { fnet.RepairPath(0, 1) }), sim.EventArg{})
 	eng.Run()
 	if lat < 0 {
 		t.Fatal("operation never completed under packet loss")
@@ -239,11 +225,9 @@ func TestRetryExhaustionAborts(t *testing.T) {
 	eng, _, st, fnet, coh := faultySetup(100, 2)
 	fnet.StickPath(0, 1)
 	completions := 0
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 0, Home: 1,
-			OnComplete: func(sim.Time) { completions++ },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: 0, Home: 1,
+		OnComplete: func(sim.Time) { completions++ },
 	})
 	eng.Run()
 	if completions != 1 {
@@ -270,12 +254,10 @@ func TestRetryDuplicateResponsesAreIdempotent(t *testing.T) {
 	eng, _, _, fnet, coh := faultySetup(50, 8) // 10 ns timeout: any inter-site op exceeds it
 	fnet.Detune(0, 16, 0)
 	completions := 0
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 0, Home: 1,
-			Sharers: []geometry.SiteID{2, 3}, Write: true,
-			OnComplete: func(sim.Time) { completions++ },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: 0, Home: 1,
+		Sharers: []geometry.SiteID{2, 3}, Write: true,
+		OnComplete: func(sim.Time) { completions++ },
 	})
 	eng.Run()
 	if completions != 1 {
@@ -293,9 +275,7 @@ func TestTimeoutDisabledByDefault(t *testing.T) {
 	// The default params leave CoherenceTimeoutCycles at zero: no timeout
 	// events are scheduled, preserving the perfect-network baseline.
 	eng, _, coh := setup()
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{Requester: 0, Home: 1})
-	})
+	coh.Issue(&coherence.Op{Requester: 0, Home: 1})
 	eng.Run()
 	if coh.Retries != 0 || coh.Aborted != 0 {
 		t.Fatalf("baseline run produced retries=%d aborts=%d", coh.Retries, coh.Aborted)
@@ -306,11 +286,9 @@ func TestIntraSiteOperation(t *testing.T) {
 	// Requester == home: both messages use the loop-back link.
 	eng, p, coh := setup()
 	var lat sim.Time
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 5, Home: 5,
-			OnComplete: func(l sim.Time) { lat = l },
-		})
+	coh.Issue(&coherence.Op{
+		Requester: 5, Home: 5,
+		OnComplete: func(l sim.Time) { lat = l },
 	})
 	eng.Run()
 	want := 2*p.Cycles(1) + p.Cycles(p.DirectoryLookupCycles)
@@ -328,11 +306,8 @@ func TestCoherenceSteadyStateAllocs(t *testing.T) {
 	// per-message closure bumps them immediately.
 	eng, p, coh := setup()
 	g := p.Grid
-	issueUnshared := func() {
-		coh.Issue(&coherence.Op{Requester: 0, Home: 1})
-	}
 	stepUnshared := func() {
-		eng.Schedule(0, issueUnshared)
+		coh.Issue(&coherence.Op{Requester: 0, Home: 1})
 		eng.Run()
 	}
 	stepUnshared() // prime queue capacity and path tables
@@ -341,11 +316,8 @@ func TestCoherenceSteadyStateAllocs(t *testing.T) {
 	}
 
 	sharers := []geometry.SiteID{g.Site(0, 2), g.Site(3, 3)}
-	issueWrite := func() {
-		coh.Issue(&coherence.Op{Requester: 0, Home: 1, Sharers: sharers, Write: true})
-	}
 	stepWrite := func() {
-		eng.Schedule(0, issueWrite)
+		coh.Issue(&coherence.Op{Requester: 0, Home: 1, Sharers: sharers, Write: true})
 		eng.Run()
 	}
 	stepWrite()

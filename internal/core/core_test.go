@@ -265,16 +265,39 @@ func TestStatsThroughput(t *testing.T) {
 func TestStatsOnDeliverCallback(t *testing.T) {
 	s := NewStats(0)
 	called := false
-	p := &Packet{Bytes: 1, OnDeliver: func(pp *Packet, at sim.Time) {
+	p := &Packet{Bytes: 1, Deliver: DeliverFunc(func(pp *Packet, at sim.Time) {
 		called = true
 		if at != 7*sim.Nanosecond {
 			t.Errorf("callback at %v, want 7ns", at)
 		}
-	}}
+		if s.Delivered != 1 {
+			t.Errorf("Deliver ran before the delivery was recorded")
+		}
+	})}
 	s.StampInjection(p, 0)
 	s.RecordDelivery(p, 7*sim.Nanosecond)
 	if !called {
-		t.Fatal("OnDeliver not called")
+		t.Fatal("Deliver not called")
+	}
+}
+
+func TestBackoff(t *testing.T) {
+	const base = 100 * sim.Nanosecond
+	for k, want := range map[int]sim.Duration{0: base, 1: 2 * base, 3: 8 * base, 20: base << 20, 60: base << 20} {
+		if got := Backoff(base, k, nil); got != want {
+			t.Errorf("Backoff(attempt %d, no jitter) = %v, want %v", k, got, want)
+		}
+	}
+	// Jitter adds [0, base) drawn from the stream, one draw per call.
+	a, b := sim.NewRNG(3), sim.NewRNG(3)
+	for k := 0; k < 50; k++ {
+		got := Backoff(base, 2, a)
+		if got < 4*base || got >= 5*base {
+			t.Fatalf("jittered Backoff = %v, want in [%v, %v)", got, 4*base, 5*base)
+		}
+		if want := 4*base + sim.Duration(b.Float64()*float64(base)); got != want {
+			t.Fatalf("jittered Backoff = %v, want %v from the same stream", got, want)
+		}
 	}
 }
 

@@ -99,8 +99,7 @@ func (s *Stats) OnEvent(e *sim.Engine, arg sim.EventArg) {
 }
 
 // RecordDelivery notes a completed delivery at time `at` and invokes the
-// packet's delivery callbacks (the closure-free Deliver handler first, then
-// the OnDeliver compatibility closure).
+// packet's Deliver handler, if any.
 func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 	s.Delivered++
 	s.PerClass[p.Class]++
@@ -121,9 +120,6 @@ func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 	}
 	if p.Deliver != nil {
 		p.Deliver.OnDeliver(p, at)
-	}
-	if p.OnDeliver != nil {
-		p.OnDeliver(p, at)
 	}
 }
 
@@ -147,6 +143,17 @@ func (s *Stats) AddRetry() { s.Retries++ }
 
 // AddAbort counts one operation or packet abandoned after retry exhaustion.
 func (s *Stats) AddAbort() { s.Aborts++ }
+
+// Backoff returns a recovery layer's timeout for attempt k: base × 2^min(k,
+// 20), plus up to one base of jitter from rng (nil: none), so correlated
+// losses do not resynchronize their retries.
+func Backoff(base sim.Duration, attempt int, rng *sim.RNG) sim.Duration {
+	d := base << min(attempt, 20)
+	if rng != nil {
+		d += sim.Duration(rng.Float64() * float64(base))
+	}
+	return d
+}
 
 // Availability is the fraction of injection attempts that were delivered —
 // the resilience study's per-run availability metric. Dropped and still-in-

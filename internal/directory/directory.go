@@ -19,9 +19,6 @@ type Entry struct {
 	Owner geometry.SiteID
 }
 
-// HasSharers reports whether any site caches the line.
-func (e Entry) HasSharers() bool { return e.Sharers != 0 }
-
 // Count returns the number of sharing sites.
 func (e Entry) Count() int { return bits.OnesCount64(e.Sharers) }
 

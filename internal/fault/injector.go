@@ -37,15 +37,21 @@ func (in *Injector) Install() {
 		panic("fault: Injector.Install called twice")
 	}
 	in.installed = true
-	for _, ev := range in.plan.Events {
-		ev := ev
-		in.eng.At(ev.At, func() {
-			in.net.apply(ev)
-			in.Fired++
-		})
-		in.eng.At(ev.Repair, func() {
-			in.net.clear(ev)
-			in.Repaired++
-		})
+	for i, ev := range in.plan.Events {
+		in.eng.CallAt(ev.At, in, sim.EventArg{A: uint64(i)})
+		in.eng.CallAt(ev.Repair, in, sim.EventArg{A: uint64(i), B: 1})
 	}
+}
+
+// OnEvent implements sim.Handler: arg.A indexes the plan's events, and
+// arg.B is 0 for the failure's onset and 1 for its repair.
+func (in *Injector) OnEvent(_ *sim.Engine, arg sim.EventArg) {
+	ev := in.plan.Events[arg.A]
+	if arg.B == 0 {
+		in.net.apply(ev)
+		in.Fired++
+		return
+	}
+	in.net.clear(ev)
+	in.Repaired++
 }

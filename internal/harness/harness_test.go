@@ -109,6 +109,19 @@ func TestRunBenchmarkAndStudyRow(t *testing.T) {
 	if e := row.NormalizedEDP(networks.CircuitSwitched); e <= 1 {
 		t.Fatalf("circuit-switched normalized EDP = %v, want > 1", e)
 	}
+	// An off-package memory cell, pinned exactly: the memory controller's
+	// completion events must keep their place in the event order.
+	pm := p
+	pm.MemoryTech = "fiber-dram"
+	mem := RunBenchmark(b, networks.PointToPoint, pm, 3)
+	got := [...]uint64{uint64(mem.Runtime), mem.Ops, uint64(mem.LatencyPerOp), uint64(mem.MaxLatency), mem.Stats.Delivered}
+	want := [...]uint64{187900, 2031, 39249, 98550, 4162}
+	if got != want {
+		t.Errorf("fiber-dram cell: [runtime ops latency/op max-latency delivered] = %v, want %v", got, want)
+	}
+	if mem.Runtime <= row.Cells[networks.PointToPoint].Runtime {
+		t.Errorf("fiber-dram runtime %v not above on-package %v", mem.Runtime, row.Cells[networks.PointToPoint].Runtime)
+	}
 }
 
 func TestRenderers(t *testing.T) {

@@ -31,12 +31,12 @@ func TestOnPackageIsImmediate(t *testing.T) {
 	tech, _ := memory.ByName("on-package")
 	mc := memory.NewController(eng, 64, tech, 1)
 	called := false
-	mc.Access(0, 72, func() {
+	mc.Access(0, 72, sim.HandlerFunc(func(e *sim.Engine, _ sim.EventArg) {
 		called = true
-		if eng.Now() != 0 {
-			t.Errorf("on-package access took %v", eng.Now())
+		if e.Now() != 0 {
+			t.Errorf("on-package access took %v", e.Now())
 		}
-	})
+	}), sim.EventArg{})
 	if !called {
 		t.Fatal("on-package access not synchronous")
 	}
@@ -53,9 +53,7 @@ func TestOffPackageLatency(t *testing.T) {
 	tech := memory.Technology{Name: "t", AccessNS: 50, FiberMeters: 1, ChannelGBs: 40, MissFraction: 1.0}
 	mc := memory.NewController(eng, 64, tech, 1)
 	var at sim.Time = -1
-	eng.Schedule(0, func() {
-		mc.Access(3, 72, func() { at = eng.Now() })
-	})
+	mc.Access(3, 72, sim.HandlerFunc(func(e *sim.Engine, _ sim.EventArg) { at = e.Now() }), sim.EventArg{})
 	eng.Run()
 	// 72 B at 40 GB/s (1.8 ns) + 2×1 m × 5 ns/m + 50 ns = 61.8 ns.
 	want := sim.FromNanoseconds(1.8 + 10 + 50)
@@ -74,14 +72,13 @@ func TestChannelSerializesAccesses(t *testing.T) {
 	eng := sim.NewEngine()
 	tech := memory.Technology{Name: "t", AccessNS: 0, FiberMeters: 0, ChannelGBs: 1, MissFraction: 1.0}
 	mc := memory.NewController(eng, 4, tech, 1)
-	var t1, t2 sim.Time
-	eng.Schedule(0, func() {
-		mc.Access(0, 100, func() { t1 = eng.Now() }) // 100 ns at 1 GB/s
-		mc.Access(0, 100, func() { t2 = eng.Now() })
-	})
+	var done [2]sim.Time
+	rec := sim.HandlerFunc(func(e *sim.Engine, arg sim.EventArg) { done[arg.A] = e.Now() })
+	mc.Access(0, 100, rec, sim.EventArg{A: 0}) // 100 ns at 1 GB/s
+	mc.Access(0, 100, rec, sim.EventArg{A: 1})
 	eng.Run()
-	if t2-t1 != 100*sim.Nanosecond {
-		t.Fatalf("second access not serialized: %v vs %v", t1, t2)
+	if done[1]-done[0] != 100*sim.Nanosecond {
+		t.Fatalf("second access not serialized: %v vs %v", done[0], done[1])
 	}
 }
 
@@ -90,8 +87,9 @@ func TestMissFractionSampling(t *testing.T) {
 	tech := memory.Technology{Name: "t", AccessNS: 1, FiberMeters: 0, ChannelGBs: 100, MissFraction: 0.25}
 	mc := memory.NewController(eng, 4, tech, 7)
 	const n = 4000
+	nop := sim.HandlerFunc(func(*sim.Engine, sim.EventArg) {})
 	for i := 0; i < n; i++ {
-		mc.Access(0, 72, func() {})
+		mc.Access(0, 72, nop, sim.EventArg{})
 	}
 	frac := float64(mc.Accesses) / n
 	if frac < 0.2 || frac > 0.3 {
@@ -110,11 +108,9 @@ func TestCoherenceIntegration(t *testing.T) {
 		coh := coherence.NewEngine(eng, p, net)
 		coh.SetMemory(memory.NewController(eng, p.Grid.Sites(), tech, 1))
 		var lat sim.Time
-		eng.Schedule(0, func() {
-			coh.Issue(&coherence.Op{
-				Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
-				OnComplete: func(l sim.Time) { lat = l },
-			})
+		coh.Issue(&coherence.Op{
+			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
+			OnComplete: func(l sim.Time) { lat = l },
 		})
 		eng.Run()
 		return lat

@@ -215,16 +215,6 @@ func (r *Registry) Gauges() []*Gauge {
 	return out
 }
 
-// Histograms returns the registered histograms sorted by name.
-func (r *Registry) Histograms() []*Histogram {
-	if r == nil {
-		return nil
-	}
-	out := append([]*Histogram(nil), r.hists...)
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // Len reports the number of registered instruments.
 func (r *Registry) Len() int {
 	if r == nil {

@@ -74,7 +74,7 @@ func TestProbeSampling(t *testing.T) {
 	c := r.Counter("events")
 	p := NewProbe(eng, r, 10*sim.Nanosecond)
 	p.Start(100 * sim.Nanosecond)
-	eng.Schedule(35*sim.Nanosecond, func() { c.Inc() })
+	eng.ScheduleCall(35*sim.Nanosecond, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) { c.Inc() }), sim.EventArg{})
 	eng.RunUntil(200 * sim.Nanosecond)
 
 	if p.Samples != 10 {
@@ -202,8 +202,9 @@ func TestTracerAttachEngine(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewTracer()
 	tr.AttachEngine(eng, 2)
+	nop := sim.HandlerFunc(func(*sim.Engine, sim.EventArg) {})
 	for i := 0; i < 6; i++ {
-		eng.Schedule(sim.Time(i+1), func() {})
+		eng.ScheduleCall(sim.Time(i+1), nop, sim.EventArg{})
 	}
 	eng.Run()
 	// 6 dispatches, one counter sample every 2 → 3 events.

@@ -26,6 +26,8 @@ type Probe struct {
 	// by; 0 samples on the exact grid.
 	jitter float64
 	rng    *sim.RNG
+	// until is the horizon set by Start: the last tick lands at or before it.
+	until sim.Time
 
 	// Samples counts completed sampling ticks.
 	Samples int
@@ -61,20 +63,24 @@ func (p *Probe) WithJitter(frac float64, seed int64) *Probe {
 // Start schedules sampling ticks from one interval after now until (and
 // including ticks at) the given horizon. Call before Engine.Run.
 func (p *Probe) Start(until sim.Time) {
-	p.scheduleNext(until)
+	p.until = until
+	p.scheduleNext()
 }
 
-func (p *Probe) scheduleNext(until sim.Time) {
+func (p *Probe) scheduleNext() {
 	gap := p.interval
 	if p.rng != nil {
 		gap += sim.Duration(p.rng.Float64() * p.jitter * float64(p.interval))
 	}
-	p.eng.Schedule(gap, func() {
-		if p.eng.Now() > until {
-			return
-		}
-		p.reg.sampleAll(p.eng.Now())
-		p.Samples++
-		p.scheduleNext(until)
-	})
+	p.eng.ScheduleCall(gap, p, sim.EventArg{})
+}
+
+// OnEvent implements sim.Handler: one sampling tick.
+func (p *Probe) OnEvent(e *sim.Engine, _ sim.EventArg) {
+	if e.Now() > p.until {
+		return
+	}
+	p.reg.sampleAll(e.Now())
+	p.Samples++
+	p.scheduleNext()
 }

@@ -67,13 +67,19 @@ type Result struct {
 	EffectiveGBs float64
 }
 
-// Runner executes a message-passing workload on a network.
+// Runner executes a message-passing workload on a network. It is its own
+// compute-phase timer (sim.Handler) and stage barrier
+// (core.DeliverHandler); one stage is in flight at a time.
 type Runner struct {
 	eng   *sim.Engine
 	p     core.Params
 	net   core.Network
 	cfg   Config
 	bytes uint64
+
+	// The stage in flight: its round, its all-reduce XOR stride, and its
+	// undelivered messages.
+	iter, stride, remaining int
 }
 
 // NewRunner builds a runner; the network must share the engine.
@@ -118,64 +124,49 @@ func (r *Runner) iteration(i int) {
 	if i >= r.cfg.Iterations {
 		return
 	}
-	r.eng.Schedule(sim.FromNanoseconds(r.cfg.ComputeNS), func() {
-		switch r.cfg.Pattern {
-		case AllReduce:
-			r.allReduceStage(i, 1)
-		default:
-			r.exchange(i)
-		}
-	})
+	r.iter = i
+	r.eng.ScheduleCall(sim.FromNanoseconds(r.cfg.ComputeNS), r, sim.EventArg{})
 }
 
-// exchange posts the iteration's messages and barriers on their delivery.
-func (r *Runner) exchange(i int) {
-	pairs := r.pairs()
-	remaining := len(pairs)
-	if remaining == 0 {
-		r.iteration(i + 1)
+// OnEvent implements sim.Handler: round r.iter's compute phase ended, so
+// its first stage posts.
+func (r *Runner) OnEvent(*sim.Engine, sim.EventArg) { r.stage(1) }
+
+// OnDeliver implements core.DeliverHandler: one message of the stage
+// landed; the last one lifts the stage's barrier. All-reduce doubles its
+// stride into the next stage; every other pattern has one stage a round.
+func (r *Runner) OnDeliver(*core.Packet, sim.Time) {
+	if r.remaining--; r.remaining > 0 {
 		return
 	}
-	done := func(_ *core.Packet, _ sim.Time) {
-		remaining--
-		if remaining == 0 {
-			r.iteration(i + 1)
-		}
+	if r.cfg.Pattern == AllReduce {
+		r.stage(r.stride * 2)
+	} else {
+		r.iteration(r.iter + 1)
 	}
+}
+
+// stage posts one barrier-separated set of messages, which OnDeliver
+// counts down; with nothing to post, the round is over.
+func (r *Runner) stage(stride int) {
+	pairs := r.pairs(stride)
+	if len(pairs) == 0 {
+		r.iteration(r.iter + 1)
+		return
+	}
+	r.stride, r.remaining = stride, len(pairs)
 	for _, pr := range pairs {
 		r.bytes += uint64(r.cfg.MessageBytes)
 		r.net.Inject(&core.Packet{
 			Src: pr[0], Dst: pr[1],
-			Bytes: r.cfg.MessageBytes, Class: core.ClassData, OnDeliver: done,
+			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: r,
 		})
 	}
 }
 
-// allReduceStage runs recursive-doubling stage with the given XOR stride.
-func (r *Runner) allReduceStage(i, stride int) {
-	sites := r.p.Grid.Sites()
-	if stride >= sites {
-		r.iteration(i + 1)
-		return
-	}
-	remaining := sites
-	done := func(_ *core.Packet, _ sim.Time) {
-		remaining--
-		if remaining == 0 {
-			r.allReduceStage(i, stride*2)
-		}
-	}
-	for s := 0; s < sites; s++ {
-		r.bytes += uint64(r.cfg.MessageBytes)
-		r.net.Inject(&core.Packet{
-			Src: geometry.SiteID(s), Dst: geometry.SiteID(s ^ stride),
-			Bytes: r.cfg.MessageBytes, Class: core.ClassData, OnDeliver: done,
-		})
-	}
-}
-
-// pairs enumerates the iteration's (src, dst) messages.
-func (r *Runner) pairs() [][2]geometry.SiteID {
+// pairs enumerates one stage's (src, dst) messages. stride is
+// all-reduce's XOR stride: recursive doubling ends once it spans the grid.
+func (r *Runner) pairs(stride int) [][2]geometry.SiteID {
 	g := r.p.Grid
 	sites := g.Sites()
 	var out [][2]geometry.SiteID
@@ -197,6 +188,10 @@ func (r *Runner) pairs() [][2]geometry.SiteID {
 					out = append(out, [2]geometry.SiteID{geometry.SiteID(s), geometry.SiteID(d)})
 				}
 			}
+		}
+	case AllReduce:
+		for s := 0; stride < sites && s < sites; s++ {
+			out = append(out, [2]geometry.SiteID{geometry.SiteID(s), geometry.SiteID(s ^ stride)})
 		}
 	case Ring:
 		for s := 0; s < sites; s++ {

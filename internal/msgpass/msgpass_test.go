@@ -136,4 +136,32 @@ func TestDeterministic(t *testing.T) {
 	if a.Runtime != b.Runtime {
 		t.Fatal("message-passing run not deterministic")
 	}
+	// Exact results for every pattern on an arbitrated and a circuit-
+	// switched network: the compute-phase timer and the barrier delivery
+	// chain must keep their event order, not just repeat themselves.
+	want := map[networks.Kind]map[msgpass.Pattern]msgpass.Result{
+		networks.TwoPhase: {
+			msgpass.HaloExchange: {Runtime: 142200, BytesMoved: 262144},
+			msgpass.AllToAll:     {Runtime: 2052600, BytesMoved: 4128768},
+			msgpass.AllReduce:    {Runtime: 236500, BytesMoved: 393216},
+			msgpass.Ring:         {Runtime: 52000, BytesMoved: 65536},
+		},
+		networks.CircuitSwitched: {
+			msgpass.HaloExchange: {Runtime: 76150, BytesMoved: 262144},
+			msgpass.AllToAll:     {Runtime: 2012950, BytesMoved: 4128768},
+			msgpass.AllReduce:    {Runtime: 526500, BytesMoved: 393216},
+			msgpass.Ring:         {Runtime: 91100, BytesMoved: 65536},
+		},
+	}
+	for kind, byPattern := range want {
+		for _, pat := range msgpass.Patterns() {
+			cfg.Pattern = pat
+			got := run(t, kind, cfg)
+			w := byPattern[pat]
+			if got.Runtime != w.Runtime || got.BytesMoved != w.BytesMoved {
+				t.Errorf("%s/%s: runtime %d ps, bytes %d; want %d ps, %d",
+					kind, pat, int64(got.Runtime), got.BytesMoved, int64(w.Runtime), w.BytesMoved)
+			}
+		}
+	}
 }

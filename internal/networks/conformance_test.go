@@ -60,11 +60,9 @@ func TestConformanceLatencyFloor(t *testing.T) {
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
 		var lat sim.Time
-		eng.Schedule(0, func() {
-			net.Inject(&core.Packet{
-				Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 1), Bytes: 64,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at },
-			})
+		net.Inject(&core.Packet{
+			Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 1), Bytes: 64,
+			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at }),
 		})
 		eng.Run()
 		// Fastest possible: 64 B at the token bundle's 320 GB/s (0.2 ns)
@@ -112,10 +110,8 @@ func TestConformanceLoopback(t *testing.T) {
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
 		var lat sim.Time
-		eng.Schedule(0, func() {
-			net.Inject(&core.Packet{Src: 13, Dst: 13, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at }})
-		})
+		net.Inject(&core.Packet{Src: 13, Dst: 13, Bytes: 64,
+			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
 		eng.Run()
 		if lat != p.Cycles(1) {
 			t.Fatalf("loopback = %v, want 1 cycle", lat)
@@ -131,11 +127,9 @@ func TestConformanceEnergyCounters(t *testing.T) {
 		p := core.DefaultParams()
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
-		eng.Schedule(0, func() {
-			for i := 0; i < 8; i++ {
-				net.Inject(&core.Packet{Src: geometry.SiteID(i), Dst: geometry.SiteID(i + 8), Bytes: 64})
-			}
-		})
+		for i := 0; i < 8; i++ {
+			net.Inject(&core.Packet{Src: geometry.SiteID(i), Dst: geometry.SiteID(i + 8), Bytes: 64})
+		}
 		eng.Run()
 		if st.OpticalTraversalBytes < 8*64 {
 			t.Fatalf("optical bytes = %d, want >= %d", st.OpticalTraversalBytes, 8*64)
@@ -152,13 +146,11 @@ func TestConformanceFIFOPerFlow(t *testing.T) {
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
 		var order []uint64
-		eng.Schedule(0, func() {
-			for i := 0; i < 10; i++ {
-				seq := uint64(i)
-				net.Inject(&core.Packet{Src: 3, Dst: 42, Bytes: 64,
-					OnDeliver: func(_ *core.Packet, _ sim.Time) { order = append(order, seq) }})
-			}
-		})
+		for i := 0; i < 10; i++ {
+			seq := uint64(i)
+			net.Inject(&core.Packet{Src: 3, Dst: 42, Bytes: 64,
+				Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { order = append(order, seq) })})
+		}
 		eng.Run()
 		if len(order) != 10 {
 			t.Fatalf("delivered %d of 10", len(order))
@@ -239,11 +231,9 @@ func TestConformanceSmallGrid(t *testing.T) {
 		p.Grid = geometry.Grid{N: 4, PitchCM: 2.25}
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
-		eng.Schedule(0, func() {
-			for s := 0; s < 16; s++ {
-				net.Inject(&core.Packet{Src: geometry.SiteID(s), Dst: geometry.SiteID((s + 5) % 16), Bytes: 64})
-			}
-		})
+		for s := 0; s < 16; s++ {
+			net.Inject(&core.Packet{Src: geometry.SiteID(s), Dst: geometry.SiteID((s + 5) % 16), Bytes: 64})
+		}
 		eng.Run()
 		if st.Delivered != 16 {
 			t.Fatalf("delivered %d of 16 on 4×4 grid", st.Delivered)
@@ -260,19 +250,15 @@ func TestConformanceMessageSizes(t *testing.T) {
 			st := core.NewStats(0)
 			net := networks.MustNew(kind, eng, p, st)
 			var small, big sim.Time
-			eng.Schedule(0, func() {
-				net.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 16,
-					OnDeliver: func(_ *core.Packet, at sim.Time) { small = at }})
-			})
+			net.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 16,
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { small = at })})
 			eng.Run()
 			eng2 := sim.NewEngine()
 			st2 := core.NewStats(0)
 			net2 := networks.MustNew(kind, eng2, p, st2)
 			b := bytes
-			eng2.Schedule(0, func() {
-				net2.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: b,
-					OnDeliver: func(_ *core.Packet, at sim.Time) { big = at }})
-			})
+			net2.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: b,
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { big = at })})
 			eng2.Run()
 			if bytes > 16 && big < small {
 				t.Fatalf("%d B delivered faster (%v) than 16 B (%v)", bytes, big, small)
@@ -290,9 +276,7 @@ func ExampleNew() {
 	if err != nil {
 		panic(err)
 	}
-	eng.Schedule(0, func() {
-		net.Inject(&core.Packet{Src: 0, Dst: 63, Bytes: 64})
-	})
+	net.Inject(&core.Packet{Src: 0, Dst: 63, Bytes: 64})
 	eng.Run()
 	fmt.Println(net.Name(), st.Delivered)
 	// Output: Point-to-Point 1

@@ -19,8 +19,8 @@ func setup() (*sim.Engine, core.Params, *core.Stats, *limited.Network) {
 func send(eng *sim.Engine, n *limited.Network, src, dst geometry.SiteID, bytes int) (*sim.Time, *core.Packet) {
 	var at sim.Time = -1
 	pkt := &core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
-		OnDeliver: func(_ *core.Packet, t sim.Time) { at = t }}
-	eng.Schedule(0, func() { n.Inject(pkt) })
+		Deliver: core.DeliverFunc(func(_ *core.Packet, t sim.Time) { at = t })}
+	n.Inject(pkt)
 	return &at, pkt
 }
 
@@ -111,15 +111,13 @@ func TestAtMostOneElectronicHop(t *testing.T) {
 	// Paper §4.6: every transmission takes at most one O-E/E-O conversion.
 	eng, p, _, n := setup()
 	var pkts []*core.Packet
-	eng.Schedule(0, func() {
-		for s := 0; s < p.Grid.Sites(); s++ {
-			for d := 0; d < p.Grid.Sites(); d++ {
-				pkt := &core.Packet{Src: geometry.SiteID(s), Dst: geometry.SiteID(d), Bytes: 64}
-				pkts = append(pkts, pkt)
-				n.Inject(pkt)
-			}
+	for s := 0; s < p.Grid.Sites(); s++ {
+		for d := 0; d < p.Grid.Sites(); d++ {
+			pkt := &core.Packet{Src: geometry.SiteID(s), Dst: geometry.SiteID(d), Bytes: 64}
+			pkts = append(pkts, pkt)
+			n.Inject(pkt)
 		}
-	})
+	}
 	eng.Run()
 	for _, pkt := range pkts {
 		if pkt.Hops > 1 {
@@ -144,17 +142,15 @@ func TestForwarderLoadBalancing(t *testing.T) {
 	g := p.Grid
 	src, dst := g.Site(0, 0), g.Site(3, 3)
 	rf, _ := n.Forwarders(src, dst)
-	eng.Schedule(0, func() {
-		// Jam the src→rowFirst channel with unrelated traffic.
-		for i := 0; i < 50; i++ {
-			n.Inject(&core.Packet{Src: src, Dst: rf, Bytes: 64})
-		}
-	})
+	// Jam the src→rowFirst channel with unrelated traffic.
+	for i := 0; i < 50; i++ {
+		n.Inject(&core.Packet{Src: src, Dst: rf, Bytes: 64})
+	}
 	var at sim.Time
-	eng.Schedule(1, func() {
+	eng.ScheduleCall(1, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
-	})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	// Via the idle column-first leg the packet needs ~8 ns; behind the jam
 	// it would need > 50 × 3.2 ns.
@@ -166,15 +162,13 @@ func TestForwarderLoadBalancing(t *testing.T) {
 func TestNeighborTrafficAllDirect(t *testing.T) {
 	eng, p, st, n := setup()
 	g := p.Grid
-	eng.Schedule(0, func() {
-		for r := 0; r < g.N; r++ {
-			for c := 0; c < g.N; c++ {
-				src := g.Site(r, c)
-				n.Inject(&core.Packet{Src: src, Dst: g.Site(r, (c+1)%g.N), Bytes: 64})
-				n.Inject(&core.Packet{Src: src, Dst: g.Site((r+1)%g.N, c), Bytes: 64})
-			}
+	for r := 0; r < g.N; r++ {
+		for c := 0; c < g.N; c++ {
+			src := g.Site(r, c)
+			n.Inject(&core.Packet{Src: src, Dst: g.Site(r, (c+1)%g.N), Bytes: 64})
+			n.Inject(&core.Packet{Src: src, Dst: g.Site((r+1)%g.N, c), Bytes: 64})
 		}
-	})
+	}
 	eng.Run()
 	if st.RouterBytes != 0 {
 		t.Fatalf("neighbor traffic used routers: %d bytes", st.RouterBytes)

@@ -18,10 +18,8 @@ func setup() (*sim.Engine, core.Params, *core.Stats, *ptp.Network) {
 
 func send(eng *sim.Engine, n *ptp.Network, src, dst geometry.SiteID, bytes int) *sim.Time {
 	var at sim.Time = -1
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
-			OnDeliver: func(_ *core.Packet, t sim.Time) { at = t }})
-	})
+	n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, t sim.Time) { at = t })})
 	return &at
 }
 
@@ -101,12 +99,10 @@ func TestSingleFlowThroughputCap(t *testing.T) {
 	// 64-byte packets take 100 × 12.8 ns of serialization.
 	eng, _, st, n := setup()
 	var last sim.Time
-	eng.Schedule(0, func() {
-		for i := 0; i < 100; i++ {
-			n.Inject(&core.Packet{Src: 0, Dst: 1, Bytes: 64, Class: core.ClassData,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { last = at }})
-		}
-	})
+	for i := 0; i < 100; i++ {
+		n.Inject(&core.Packet{Src: 0, Dst: 1, Bytes: 64, Class: core.ClassData,
+			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { last = at })})
+	}
 	eng.Run()
 	want := 100*sim.FromNanoseconds(12.8) + sim.FromNanoseconds(0.225)
 	if last != want {

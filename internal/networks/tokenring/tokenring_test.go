@@ -28,10 +28,8 @@ func TestTokenHopPace(t *testing.T) {
 func TestLoopback(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: 3, Dst: 3, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
-	})
+	n.Inject(&core.Packet{Src: 3, Dst: 3, Bytes: 64,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	eng.Run()
 	if at != p.Cycles(1) {
 		t.Fatalf("loopback at %v", at)
@@ -46,10 +44,8 @@ func TestFirstAcquisitionWaitsForToken(t *testing.T) {
 	dst := ringOrder[0]
 	src := ringOrder[5]
 	var at sim.Time
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
-	})
+	n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	eng.Run()
 	hop := p.Cycles(p.TokenRoundTripCycles) / sim.Time(p.Grid.Sites())
 	// Token travel (5 hops) + 1-cycle transmit + data propagation back to
@@ -66,12 +62,10 @@ func TestReacquisitionCostsFullRoundTrip(t *testing.T) {
 	ringOrder := p.Grid.RingPositions()
 	dst, src := ringOrder[0], ringOrder[5]
 	var times []sim.Time
-	eng.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { times = append(times, tt) }})
-		}
-	})
+	for i := 0; i < 3; i++ {
+		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
+	}
 	eng.Run()
 	if len(times) != 3 {
 		t.Fatalf("delivered %d", len(times))
@@ -97,11 +91,9 @@ func TestSingleFlowThroughputBelowOnePercent(t *testing.T) {
 	st.MeasureEnd = 10 * sim.Microsecond
 	ringOrder := p.Grid.RingPositions()
 	dst, src := ringOrder[0], ringOrder[5]
-	eng.Schedule(0, func() {
-		for i := 0; i < 2000; i++ {
-			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64})
-		}
-	})
+	for i := 0; i < 2000; i++ {
+		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64})
+	}
 	eng.RunUntil(10 * sim.Microsecond)
 	eng.Stop()
 	frac := st.ThroughputGBs() / 320
@@ -119,16 +111,14 @@ func TestTokenDivertsToNearerWaiter(t *testing.T) {
 	far := ringOrder[40]
 	near := ringOrder[10]
 	var farAt, nearAt sim.Time
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: far, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { farAt = tt }})
-	})
+	n.Inject(&core.Packet{Src: far, Dst: dst, Bytes: 64,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { farAt = tt })})
 	// The near waiter requests shortly after, while the token (released at
 	// position 0 at t=0) is still upstream of position 10.
-	eng.Schedule(100*sim.Picosecond, func() {
+	eng.ScheduleCall(100*sim.Picosecond, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) {
 		n.Inject(&core.Packet{Src: near, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { nearAt = tt }})
-	})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { nearAt = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	if nearAt == 0 || farAt == 0 {
 		t.Fatal("not all delivered")
@@ -147,10 +137,8 @@ func TestTokenDivertsToNearerWaiter(t *testing.T) {
 
 func TestEnergyAndTokenOps(t *testing.T) {
 	eng, _, st, n := setup()
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: 1, Dst: 2, Bytes: 64})
-		n.Inject(&core.Packet{Src: 3, Dst: 4, Bytes: 16})
-	})
+	n.Inject(&core.Packet{Src: 1, Dst: 2, Bytes: 64})
+	n.Inject(&core.Packet{Src: 3, Dst: 4, Bytes: 16})
 	eng.Run()
 	if st.OpticalTraversalBytes != 80 {
 		t.Fatalf("optical bytes = %d, want 80", st.OpticalTraversalBytes)
@@ -162,14 +150,12 @@ func TestEnergyAndTokenOps(t *testing.T) {
 
 func TestQueuedFor(t *testing.T) {
 	eng, _, _, n := setup()
-	eng.Schedule(0, func() {
-		for i := 0; i < 5; i++ {
-			n.Inject(&core.Packet{Src: 9, Dst: 2, Bytes: 64})
-		}
-		if q := n.QueuedFor(9, 2); q != 5 {
-			t.Errorf("QueuedFor = %d, want 5", q)
-		}
-	})
+	for i := 0; i < 5; i++ {
+		n.Inject(&core.Packet{Src: 9, Dst: 2, Bytes: 64})
+	}
+	if q := n.QueuedFor(9, 2); q != 5 {
+		t.Errorf("QueuedFor = %d, want 5", q)
+	}
 	eng.Run()
 	if q := n.QueuedFor(geometry.SiteID(9), geometry.SiteID(2)); q != 0 {
 		t.Fatalf("residual queue = %d", q)
@@ -194,12 +180,10 @@ func TestBurstGrabPolicy(t *testing.T) {
 		st := core.NewStats(0)
 		n := tokenring.New(eng, p, st)
 		var last sim.Time
-		eng.Schedule(0, func() {
-			for i := 0; i < 32; i++ {
-				n.Inject(&core.Packet{Src: 5, Dst: 9, Bytes: 64,
-					OnDeliver: func(_ *core.Packet, at sim.Time) { last = at }})
-			}
-		})
+		for i := 0; i < 32; i++ {
+			n.Inject(&core.Packet{Src: 5, Dst: 9, Bytes: 64,
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { last = at })})
+		}
 		eng.Run()
 		return last
 	}

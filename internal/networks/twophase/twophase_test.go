@@ -30,10 +30,8 @@ func TestUnloadedLatency(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
-	})
+	n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	eng.Run()
 	// arbLead + retune gap (cold switch) + 64 B at 40 GB/s rounded to slots
 	// (1.6 ns = 4 slots exactly) + propagation.
@@ -47,17 +45,13 @@ func TestSlotRounding(t *testing.T) {
 	eng, p, _, n := setup()
 	var at16, at64 sim.Time
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 16,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at16 = tt }})
-	})
+	n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 16,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at16 = tt })})
 	eng.Run()
 	eng2 := sim.NewEngine()
 	n2 := twophase.New(eng2, p, core.NewStats(0))
-	eng2.Schedule(0, func() {
-		n2.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at64 = tt }})
-	})
+	n2.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at64 = tt })})
 	eng2.Run()
 	// 16 B = 0.4 ns = exactly one slot; 64 B = 4 slots. The difference in
 	// delivery must be exactly 3 slots.
@@ -70,12 +64,10 @@ func TestBackToBackSameFlowSerializesPerColumn(t *testing.T) {
 	eng, p, _, n := setup()
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
 	var times []sim.Time
-	eng.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { times = append(times, tt) }})
-		}
-	})
+	for i := 0; i < 3; i++ {
+		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
+	}
 	eng.Run()
 	// The single switch tree permits one in-flight packet per column: the
 	// next packet re-arbitrates when the previous one delivers, so the
@@ -95,16 +87,14 @@ func TestAlternatingSendersPayRetuneGap(t *testing.T) {
 	dst := g.Site(0, 0)
 	a, b := g.Site(0, 1), g.Site(0, 2)
 	var times []sim.Time
-	eng.Schedule(0, func() {
-		for i := 0; i < 4; i++ {
-			src := a
-			if i%2 == 1 {
-				src = b
-			}
-			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { times = append(times, tt) }})
+	for i := 0; i < 4; i++ {
+		src := a
+		if i%2 == 1 {
+			src = b
 		}
-	})
+		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
+	}
 	eng.Run()
 	if len(times) != 4 {
 		t.Fatalf("delivered %d", len(times))
@@ -131,23 +121,21 @@ func TestSwitchTreeSerializesColumn(t *testing.T) {
 		n := twophase.New(eng, p, core.NewStats(0))
 		g := p.Grid
 		var last sim.Time
-		eng.Schedule(0, func() {
-			for r := 0; r < g.N; r++ {
-				dst := g.Site(r, 3)
-				if !sameColumn {
-					dst = g.Site(3, r)
-				}
-				if dst == g.Site(0, 0) {
-					dst = g.Site(4, 4)
-				}
-				n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: dst, Bytes: 64,
-					OnDeliver: func(_ *core.Packet, at sim.Time) {
-						if at > last {
-							last = at
-						}
-					}})
+		for r := 0; r < g.N; r++ {
+			dst := g.Site(r, 3)
+			if !sameColumn {
+				dst = g.Site(3, r)
 			}
-		})
+			if dst == g.Site(0, 0) {
+				dst = g.Site(4, 4)
+			}
+			n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: dst, Bytes: 64,
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
+					if at > last {
+						last = at
+					}
+				})})
+		}
 		eng.Run()
 		return last
 	}
@@ -172,18 +160,16 @@ func TestALTHasMoreTrees(t *testing.T) {
 		}
 		g := p.Grid
 		var last sim.Time
-		eng.Schedule(0, func() {
-			for r := 0; r < g.N; r++ {
-				for i := 0; i < 4; i++ {
-					n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: g.Site(r, 3), Bytes: 64,
-						OnDeliver: func(_ *core.Packet, at sim.Time) {
-							if at > last {
-								last = at
-							}
-						}})
-				}
+		for r := 0; r < g.N; r++ {
+			for i := 0; i < 4; i++ {
+				n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: g.Site(r, 3), Bytes: 64,
+					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
+						if at > last {
+							last = at
+						}
+					})})
 			}
-		})
+		}
 		eng.Run()
 		return last
 	}
@@ -206,9 +192,7 @@ func TestNames(t *testing.T) {
 
 func TestArbMessageAccounting(t *testing.T) {
 	eng, p, st, n := setup()
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(1, 1), Bytes: 64})
-	})
+	n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(1, 1), Bytes: 64})
 	eng.Run()
 	// One request + one notification (no wasted slots at zero load).
 	if st.ArbMessages != 2 {
@@ -222,10 +206,8 @@ func TestArbMessageAccounting(t *testing.T) {
 func TestLoopback(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
-	eng.Schedule(0, func() {
-		n.Inject(&core.Packet{Src: 7, Dst: 7, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
-	})
+	n.Inject(&core.Packet{Src: 7, Dst: 7, Bytes: 64,
+		Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	eng.Run()
 	if at != p.Cycles(1) {
 		t.Fatalf("loopback at %v", at)

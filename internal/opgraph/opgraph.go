@@ -137,9 +137,13 @@ type Graph struct {
 	MTU int
 }
 
+// Graph-wide caps, far above any preset, that keep a replay on the int64
+// picosecond axis: a simulated day of compute and 1 TiB of edges in total.
+const maxGraphCompute, maxGraphBytes = 24 * 3600 * sim.Second, 1 << 40
+
 // Validate checks structural sanity: edge endpoints in range, non-negative
-// bytes and compute windows, sites on the grid, and acyclicity (Kahn's
-// algorithm). It returns the first problem found.
+// bytes and compute windows within the graph-wide caps, sites on the grid,
+// and acyclicity (Kahn's algorithm). It returns the first problem found.
 func (g *Graph) Validate(grid geometry.Grid) error {
 	if len(g.Ops) == 0 {
 		return fmt.Errorf("opgraph: graph %q has no operators", g.Name)
@@ -147,6 +151,7 @@ func (g *Graph) Validate(grid geometry.Grid) error {
 	if g.MTU < 0 {
 		return fmt.Errorf("opgraph: graph %q has negative MTU %d (omit or use 0 for the %d-byte default)", g.Name, g.MTU, DefaultMTU)
 	}
+	var compute sim.Duration
 	for i, op := range g.Ops {
 		if op.Kind >= numKinds {
 			return fmt.Errorf("opgraph: op %d has unknown kind %d", i, op.Kind)
@@ -157,7 +162,11 @@ func (g *Graph) Validate(grid geometry.Grid) error {
 		if op.Compute < 0 {
 			return fmt.Errorf("opgraph: op %d has negative compute window %v", i, op.Compute)
 		}
+		if compute += op.Compute; op.Compute > maxGraphCompute || compute > maxGraphCompute {
+			return fmt.Errorf("opgraph: graph %q: compute windows through op %d exceed %v", g.Name, i, maxGraphCompute)
+		}
 	}
+	bytes := 0
 	indeg := make([]int, len(g.Ops))
 	for i, e := range g.Edges {
 		if e.From < 0 || e.From >= len(g.Ops) || e.To < 0 || e.To >= len(g.Ops) {
@@ -168,6 +177,9 @@ func (g *Graph) Validate(grid geometry.Grid) error {
 		}
 		if e.Bytes < 0 {
 			return fmt.Errorf("opgraph: edge %d has negative size %d", i, e.Bytes)
+		}
+		if bytes += e.Bytes; e.Bytes > maxGraphBytes || bytes > maxGraphBytes {
+			return fmt.Errorf("opgraph: graph %q: edges through %d carry more than %d bytes", g.Name, i, maxGraphBytes)
 		}
 		indeg[e.To]++
 	}

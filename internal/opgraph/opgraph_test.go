@@ -1,13 +1,16 @@
 package opgraph_test
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"macrochip/internal/geometry"
+	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
+	"macrochip/internal/traffic"
 )
 
 func writeFile(path, content string) error {
@@ -171,18 +174,41 @@ func TestPresetErrors(t *testing.T) {
 	}
 }
 
+// loadJSONSample is a valid two-op graph, and loadJSONRejects are inputs
+// the loader must refuse; both seed FuzzLoadJSON.
+const loadJSONSample = `{
+	"name": "tiny",
+	"mtu": 8192,
+	"ops": [
+		{"kind": "attention", "site": 0, "compute_ps": 200},
+		{"kind": "all-reduce", "site": 1, "compute_ps": 100}
+	],
+	"edges": [{"from": 0, "to": 1, "bytes": 4096}]
+}`
+
+var loadJSONRejects = []struct{ name, src string }{
+	{"unknown field", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1,"flops":9}]}`},
+	{"unknown kind", `{"name":"x","ops":[{"kind":"softmax","site":0,"compute_ps":1}]}`},
+	{"missing name", `{"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
+	{"invalid site", `{"name":"x","ops":[{"kind":"ffn","site":99,"compute_ps":1}]}`},
+	{"cycle", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1},{"kind":"ffn","site":1,"compute_ps":1}],"edges":[{"from":0,"to":1,"bytes":1},{"from":1,"to":0,"bytes":1}]}`},
+	{"negative mtu", `{"name":"x","mtu":-4096,"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
+	{"not json", `{"name":`},
+	{"compute past a day", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":9223372036854775807},{"kind":"ffn","site":0,"compute_ps":1}]}`},
+	{"edges past 1 TiB", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1},{"kind":"ffn","site":1,"compute_ps":1}],"edges":[{"from":0,"to":1,"bytes":1099511627776},{"from":0,"to":1,"bytes":1}]}`},
+}
+
+// loadJSONAtLimits are graphs at the size caps, with an MTU at the int
+// limit: they must load and replay to completion (FuzzLoadJSON seeds).
+var loadJSONAtLimits = []string{
+	`{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":43200000000000000},{"kind":"ffn","site":0,"compute_ps":43200000000000000}],"edges":[{"from":0,"to":1,"bytes":64}]}`,
+	`{"name":"x","mtu":9223372036854775807,"ops":[{"kind":"ffn","site":0,"compute_ps":1},{"kind":"ffn","site":1,"compute_ps":1}],"edges":[{"from":0,"to":1,"bytes":64}]}`,
+	`{"name":"x","mtu":9223372036854775807,"ops":[{"kind":"ffn","site":0,"compute_ps":86400000000000000},{"kind":"ffn","site":1,"compute_ps":0}],"edges":[{"from":0,"to":1,"bytes":1099511627776}]}`,
+}
+
 func TestLoadJSON(t *testing.T) {
 	grid := testGrid()
-	src := `{
-		"name": "tiny",
-		"mtu": 8192,
-		"ops": [
-			{"kind": "attention", "site": 0, "compute_ps": 200},
-			{"kind": "all-reduce", "site": 1, "compute_ps": 100}
-		],
-		"edges": [{"from": 0, "to": 1, "bytes": 4096}]
-	}`
-	g, err := opgraph.LoadJSON(strings.NewReader(src), grid)
+	g, err := opgraph.LoadJSON(strings.NewReader(loadJSONSample), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,20 +225,50 @@ func TestLoadJSON(t *testing.T) {
 		t.Errorf("MTU = %d, want 8192", g.MTU)
 	}
 
-	bad := []struct{ name, src string }{
-		{"unknown field", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1,"flops":9}]}`},
-		{"unknown kind", `{"name":"x","ops":[{"kind":"softmax","site":0,"compute_ps":1}]}`},
-		{"missing name", `{"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
-		{"invalid site", `{"name":"x","ops":[{"kind":"ffn","site":99,"compute_ps":1}]}`},
-		{"cycle", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1},{"kind":"ffn","site":1,"compute_ps":1}],"edges":[{"from":0,"to":1,"bytes":1},{"from":1,"to":0,"bytes":1}]}`},
-		{"negative mtu", `{"name":"x","mtu":-4096,"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
-		{"not json", `{"name":`},
-	}
-	for _, tc := range bad {
+	for _, tc := range loadJSONRejects {
 		if _, err := opgraph.LoadJSON(strings.NewReader(tc.src), grid); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// FuzzLoadJSON feeds arbitrary bytes to the graph loader. LoadJSON must
+// never panic, every graph it accepts must pass Validate, and an accepted
+// graph must replay to completion on a point-to-point network without
+// panicking. Graphs of more than 4096 packets are not replayed, only to
+// keep each iteration short.
+func FuzzLoadJSON(f *testing.F) {
+	f.Add([]byte(loadJSONSample))
+	for _, tc := range loadJSONRejects {
+		f.Add([]byte(tc.src))
+	}
+	for _, src := range loadJSONAtLimits {
+		f.Add([]byte(src))
+	}
+	grid := testGrid()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := opgraph.LoadJSON(bytes.NewReader(data), grid)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(grid); err != nil {
+			t.Fatalf("accepted graph fails Validate: %v", err)
+		}
+		mtu := g.MTU
+		if mtu == 0 {
+			mtu = opgraph.DefaultMTU
+		}
+		packets := 0
+		for _, e := range g.Edges {
+			if packets += e.Bytes/mtu + 1; packets > 4096 {
+				return
+			}
+		}
+		res, _ := runGraph(t, networks.PointToPoint, g, 1, traffic.RetryPolicy{})
+		if res.Stalled || res.OpsDone != res.OpsTotal || res.TransfersDone != res.TransfersTotal {
+			t.Fatalf("accepted graph did not replay to completion: %+v", res)
+		}
+	})
 }
 
 func TestLoadJSONFile(t *testing.T) {

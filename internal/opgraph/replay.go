@@ -70,9 +70,9 @@ type Replay struct {
 	finish         sim.Time
 	started        bool
 
-	// free recycles delivered packets (retry-free runs only, exactly like
-	// traffic.OpenLoop's list: retry bookkeeping may retain packets past
-	// delivery, so recycling would alias live flights).
+	// free recycles delivered packets (retry-free runs only, like
+	// traffic.OpenLoop's list: a retried packet delivers to its segment,
+	// not to the transfer, and is allocated fresh).
 	free []*core.Packet
 }
 
@@ -81,7 +81,7 @@ type Replay struct {
 type transfer struct {
 	r         *Replay
 	to        int32
-	remaining int32
+	remaining int
 	src, dst  geometry.SiteID
 	class     core.MsgClass
 }
@@ -221,7 +221,7 @@ func (r *Replay) opDone(i int, at sim.Time) {
 		if r.Graph.Ops[e.From].Kind.Collective() || r.Graph.Ops[e.To].Kind.Collective() {
 			t.class = core.ClassCollective
 		}
-		t.remaining = int32((e.Bytes + r.PacketBytes - 1) / r.PacketBytes)
+		t.remaining = (e.Bytes-1)/r.PacketBytes + 1 // ceil, without overflow at any MTU
 		r.inflight++
 		rem := e.Bytes
 		for rem > 0 {
@@ -229,7 +229,7 @@ func (r *Replay) opDone(i int, at sim.Time) {
 			if rem < sz {
 				sz = rem
 			}
-			r.sendPacket(t, sz, 0, nil)
+			r.sendPacket(t, sz)
 			rem -= sz
 		}
 	}
@@ -244,13 +244,8 @@ func (r *Replay) edgeDone(to int, _ sim.Time) {
 }
 
 // sendPacket injects one segment of a transfer, arming the delivery-
-// timeout/retransmit chain when a retry policy is set — the same shape as
-// traffic.OpenLoop.send. Unlike OpenLoop, the replay must settle each
-// logical segment exactly once (a double settle would unblock the DAG
-// twice), so every attempt of a segment shares one settled flag: a slow
-// original arriving after its retransmit settles first and the duplicate
-// is ignored.
-func (r *Replay) sendPacket(t *transfer, bytes, attempt int, settled *bool) {
+// timeout/retransmit chain when a retry policy is set.
+func (r *Replay) sendPacket(t *transfer, bytes int) {
 	if !r.Retry.Enabled() {
 		p := r.getPacket()
 		p.Src, p.Dst = t.src, t.dst
@@ -260,44 +255,51 @@ func (r *Replay) sendPacket(t *transfer, bytes, attempt int, settled *bool) {
 		r.Net.Inject(p)
 		return
 	}
-	if settled == nil {
-		settled = new(bool)
-	}
-	p := &core.Packet{Src: t.src, Dst: t.dst, Bytes: bytes, Class: t.class}
-	p.OnDeliver = func(p *core.Packet, at sim.Time) {
-		if *settled {
-			return
-		}
-		*settled = true
-		r.bytesMoved += uint64(p.Bytes)
-		t.settle(at)
-	}
-	r.Net.Inject(p)
-	r.Eng.Schedule(r.backoff(attempt), func() {
-		if *settled {
-			return
-		}
-		st := r.Net.Stats()
-		if attempt >= r.Retry.MaxRetries {
-			st.AddAbort()
-			*settled = true
-			t.settle(r.Eng.Now())
-			return
-		}
-		st.AddRetry()
-		r.sendPacket(t, bytes, attempt+1, settled)
-	})
+	(&segment{t: t, bytes: bytes}).send()
 }
 
-// backoff returns attempt k's timeout: Timeout × 2^k plus up to one Timeout
-// of seeded jitter (traffic.OpenLoop's schedule).
-func (r *Replay) backoff(attempt int) sim.Duration {
-	if attempt > 20 {
-		attempt = 20
+// segment is a retried packet of a transfer: the Deliver handler of every
+// attempt and the one pending timeout. It must settle exactly once (twice
+// would unblock the DAG twice), so unlike traffic.OpenLoop's per-attempt
+// flights, all attempts share it: whichever copy lands first settles it.
+type segment struct {
+	t       *transfer
+	bytes   int
+	attempt int
+	settled bool
+}
+
+// send injects the current attempt and arms its timeout.
+func (s *segment) send() {
+	t, r := s.t, s.t.r
+	r.Net.Inject(&core.Packet{Src: t.src, Dst: t.dst, Bytes: s.bytes, Class: t.class, Deliver: s})
+	r.Eng.ScheduleCall(core.Backoff(r.Retry.Timeout, s.attempt, r.retryRNG), s, sim.EventArg{})
+}
+
+func (s *segment) OnDeliver(p *core.Packet, at sim.Time) {
+	if !s.settled {
+		s.settled = true
+		s.t.r.bytesMoved += uint64(p.Bytes)
+		s.t.settle(at)
 	}
-	d := r.Retry.Timeout << attempt
-	d += sim.Time(r.retryRNG.Float64() * float64(r.Retry.Timeout))
-	return d
+}
+
+// OnEvent is the current attempt's timeout: retransmit or, past the
+// budget, abandon and settle the segment.
+func (s *segment) OnEvent(e *sim.Engine, _ sim.EventArg) {
+	if s.settled {
+		return
+	}
+	st := s.t.r.Net.Stats()
+	if s.attempt >= s.t.r.Retry.MaxRetries {
+		st.AddAbort()
+		s.settled = true
+		s.t.settle(e.Now())
+		return
+	}
+	st.AddRetry()
+	s.attempt++
+	s.send()
 }
 
 // getPacket pops a recycled packet (cleared to zero) or allocates.

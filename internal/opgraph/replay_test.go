@@ -211,7 +211,7 @@ func replayUnderLoss(t *testing.T, retry traffic.RetryPolicy, repairAt sim.Time)
 	fnet := fault.Wrap(eng, p, networks.MustNew(networks.PointToPoint, eng, p, stats), 1)
 	fnet.FailLaser(0)
 	if repairAt > 0 {
-		eng.At(repairAt, func() { fnet.RepairLaser(0) })
+		eng.CallAt(repairAt, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) { fnet.RepairLaser(0) }), sim.EventArg{})
 	}
 	r := &opgraph.Replay{Eng: eng, Params: p, Net: fnet, Graph: g, Seed: 1, Retry: retry}
 	if err := r.Start(); err != nil {
@@ -241,6 +241,29 @@ func TestReplayAbortSettlesDependencies(t *testing.T) {
 	if stats.Aborts != 1 || stats.Retries != 2 {
 		t.Errorf("aborts=%d retries=%d, want 1 and 2", stats.Aborts, stats.Retries)
 	}
+	// Under a generated fault plan with a tight budget, some segments
+	// abort and the graph still completes, exactly as pinned.
+	res, stats = replayUnderPlan(t, 2)
+	if res.Stalled || stats.Aborts == 0 {
+		t.Fatalf("plan replay: %+v with %d aborts, want complete with aborts", res, stats.Aborts)
+	}
+	checkPlanReplay(t, res, stats, [...]uint64{5674316, 339968, 375, 114, 297, 26})
+}
+
+func TestReplayRetryAllocsPerAttempt(t *testing.T) {
+	// Every attempt of a retried segment shares one segment struct, which
+	// is both the Deliver handler and the pending timeout, so an extra
+	// attempt costs its packet and no flag or closure. Measured as the
+	// marginal allocations of extra retries against a dark laser.
+	allocs := func(maxRetries int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			replayUnderLoss(t, traffic.RetryPolicy{Timeout: 100, MaxRetries: maxRetries}, 0)
+		})
+	}
+	const extra = 16
+	if per := (allocs(extra) - allocs(0)) / extra; per > 2 {
+		t.Fatalf("retried opgraph segment attempt allocated %.2f, want ≤ 2 (packet + segment)", per)
+	}
 }
 
 func TestReplayRetryRecoversAfterRepair(t *testing.T) {
@@ -256,6 +279,50 @@ func TestReplayRetryRecoversAfterRepair(t *testing.T) {
 	}
 	if res.BytesMoved != 64 {
 		t.Errorf("BytesMoved = %d, want 64", res.BytesMoved)
+	}
+	// Under a generated fault plan with a generous budget, every segment
+	// recovers, including those whose original arrives after its
+	// retransmit, exactly as pinned.
+	res, stats = replayUnderPlan(t, 10)
+	if res.Stalled || stats.Retries == 0 || stats.Aborts != 0 {
+		t.Fatalf("plan replay: %+v with %d retries, %d aborts; want full recovery", res, stats.Retries, stats.Aborts)
+	}
+	checkPlanReplay(t, res, stats, [...]uint64{86060747, 393216, 409, 155, 372, 0})
+}
+
+// replayUnderPlan replays a tensor-parallel preset on a point-to-point
+// network under a dense generated fault plan (400 failures per site per
+// ms over every class), with a 200 ns base timeout that also fires on
+// slow 4 KiB segments, so both dropped and late packets are retried.
+func replayUnderPlan(t *testing.T, maxRetries int) (opgraph.Result, *core.Stats) {
+	t.Helper()
+	g, err := opgraph.Preset("tensor-parallel-ffn", testGrid(), 2, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testParams()
+	eng := sim.NewEngine()
+	stats := core.NewStats(0)
+	fnet := fault.Wrap(eng, p, networks.MustNew(networks.PointToPoint, eng, p, stats), 7)
+	plan := fault.NewPlan(fault.PlanConfig{Grid: p.Grid, RatePerSitePerMs: 400,
+		Horizon: 200 * sim.Microsecond, MTTR: 2 * sim.Microsecond}, 7)
+	fault.NewInjector(eng, fnet, plan).Install()
+	r := &opgraph.Replay{Eng: eng, Params: p, Net: fnet, Graph: g, Seed: 7,
+		Retry: traffic.RetryPolicy{Timeout: 200 * sim.Nanosecond, MaxRetries: maxRetries}}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	return r.Result(), stats
+}
+
+// checkPlanReplay compares a plan replay against its pinned
+// [makespan bytes-moved delivered dropped retries aborts].
+func checkPlanReplay(t *testing.T, res opgraph.Result, stats *core.Stats, want [6]uint64) {
+	t.Helper()
+	got := [...]uint64{uint64(res.Makespan), res.BytesMoved, stats.Delivered, stats.Dropped, stats.Retries, stats.Aborts}
+	if got != want {
+		t.Errorf("plan replay [makespan bytes delivered dropped retries aborts] = %v, want %v", got, want)
 	}
 }
 

@@ -2,9 +2,10 @@ package sim
 
 import "fmt"
 
-// Handler is the closure-free scheduling target: models implement OnEvent on
-// a (usually pointer-shaped) type and schedule it with ScheduleCall, passing
-// per-event state through the EventArg instead of capturing it in a closure.
+// Handler is the target of every scheduled event: models implement OnEvent
+// on a (usually pointer-shaped) type and schedule it with ScheduleCall or
+// CallAt, passing per-event state through the EventArg instead of capturing
+// it in a closure.
 // Converting a pointer to a Handler allocates nothing, so steady-state
 // ScheduleCall dispatch runs allocation-free (pinned by a benchmark guard).
 //
@@ -26,11 +27,17 @@ type EventArg struct {
 	A, B uint64
 }
 
-// payload is a scheduled callback, parked in the engine's slab while its
-// key waits in the heap. Exactly one of fn (legacy closure path) and h
-// (closure-free path) is set.
+// HandlerFunc adapts a function to a Handler, as http.HandlerFunc does for
+// http.Handler. It suits tests and one-off events; a capturing closure
+// allocates, so hot paths implement OnEvent on a pointer-shaped type.
+type HandlerFunc func(e *Engine, arg EventArg)
+
+// OnEvent calls f(e, arg).
+func (f HandlerFunc) OnEvent(e *Engine, arg EventArg) { f(e, arg) }
+
+// payload is a scheduled event, parked in the engine's slab while its key
+// waits in the heap.
 type payload struct {
-	fn  func()
 	h   Handler
 	arg EventArg
 }
@@ -82,11 +89,11 @@ func packTag(seq uint64, slot int) uint64 {
 // in event-callback style, which keeps runs fast and deterministic.
 //
 // The queue is split in two. An inline 4-ary min-heap orders pointer-free
-// 16-byte keys {at, seq<<24 | slot}; the callbacks themselves sit still in a
-// payload slab indexed by slot, and a LIFO free list of vacated slots lets
-// the slab stay as long as the peak pending count. Sifts therefore move only
-// keys, never closures or packet pointers, so they copy under a quarter of
-// the bytes and pay no GC write barriers. Every slice reuses its capacity, so
+// 16-byte keys {at, seq<<24 | slot}; the 48-byte {handler, arg} payloads sit
+// still in a slab indexed by slot, and a LIFO free list of vacated slots
+// lets the slab stay as long as the peak pending count. Sifts therefore move
+// only keys, never handlers or packet pointers, so they copy a quarter of
+// the bytes of a combined element and pay no GC write barriers. Every slice reuses its capacity, so
 // the steady-state schedule/dispatch cycle allocates nothing. A 4-ary layout
 // halves the tree depth of a binary heap, trading slightly wider sift-down
 // scans (four comparisons per level, over 64 contiguous bytes of sibling
@@ -121,43 +128,18 @@ func (e *Engine) Pending() int { return len(e.keys) }
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Schedule runs fn after delay. A negative delay panics: the kernel never
-// travels backwards in time. Prefer ScheduleCall on hot paths — Schedule
-// typically costs one closure allocation at the call site.
-func (e *Engine) Schedule(delay Duration, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.At(e.deadlineFor(delay), fn)
-}
-
-// deadlineFor converts a validated non-negative delay into an absolute
-// timestamp, catching int64 overflow explicitly. Before this check a huge
-// delay (e.g. a misconverted duration) wrapped negative and surfaced as the
-// misleading "schedule before now" panic from At/CallAt.
-func (e *Engine) deadlineFor(delay Duration) Time {
-	t := e.now + delay
-	if t < e.now {
-		panic(fmt.Sprintf("sim: delay %d ps overflows the time axis (now %v)", int64(delay), e.now))
-	}
-	return t
-}
-
-// At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.push(t, payload{fn: fn})
-}
-
-// ScheduleCall runs h.OnEvent(e, arg) after delay, without allocating a
-// closure. A negative delay panics.
+// ScheduleCall runs h.OnEvent(e, arg) after delay. A negative delay panics:
+// the kernel never travels backwards in time. So does a delay that wraps
+// the time axis, by name rather than as a misleading "before now".
 func (e *Engine) ScheduleCall(delay Duration, h Handler, arg EventArg) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	e.CallAt(e.deadlineFor(delay), h, arg)
+	t := e.now + delay
+	if t < e.now {
+		panic(fmt.Sprintf("sim: delay %d ps overflows the time axis (now %v)", int64(delay), e.now))
+	}
+	e.CallAt(t, h, arg)
 }
 
 // CallAt runs h.OnEvent(e, arg) at absolute time t, which must not precede
@@ -199,7 +181,7 @@ func (e *Engine) push(t Time, p payload) {
 }
 
 // popMin removes the root (minimum) key, then takes its payload out of the
-// slab: the slot is zeroed, so it pins no dead packet or closure, and
+// slab: the slot is zeroed, so it pins no dead packet or handler, and
 // returned to the free list before the callback runs.
 func (e *Engine) popMin() (Time, payload) {
 	keys := e.keys
@@ -285,9 +267,5 @@ func (e *Engine) step() {
 	if e.hook != nil {
 		e.hook(e.now)
 	}
-	if p.h != nil {
-		p.h.OnEvent(e, p.arg)
-	} else {
-		p.fn()
-	}
+	p.h.OnEvent(e, p.arg)
 }

@@ -28,6 +28,9 @@ func TestTimeString(t *testing.T) {
 		{2500 * Microsecond, "2.500ms"},
 		{3 * Second, "3.000s"},
 		{-500 * Picosecond, "-500ps"},
+		{-1500 * Nanosecond, "-1.500us"},
+		// Negation wraps here; it used to recurse until the stack overflowed.
+		{math.MinInt64, "-9223372036854775808ps"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -61,11 +64,12 @@ func TestNanosecondsRoundTrip(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	rec := HandlerFunc(func(_ *Engine, arg EventArg) { order = append(order, int(arg.A)) })
+	e.ScheduleCall(30, rec, EventArg{A: 3})
+	e.ScheduleCall(10, rec, EventArg{A: 1})
+	e.ScheduleCall(20, rec, EventArg{A: 2})
 	// Same timestamp: insertion order must win.
-	e.Schedule(20, func() { order = append(order, 4) })
+	e.ScheduleCall(20, rec, EventArg{A: 4})
 	end := e.Run()
 	if end != 30 {
 		t.Fatalf("Run returned %v, want 30ps", end)
@@ -81,14 +85,14 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick HandlerFunc
+	tick = func(e *Engine, _ EventArg) {
 		count++
 		if count < 100 {
-			e.Schedule(5, tick)
+			e.ScheduleCall(5, tick, EventArg{})
 		}
 	}
-	e.Schedule(0, tick)
+	e.ScheduleCall(0, tick, EventArg{})
 	e.Run()
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -104,9 +108,9 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
+	rec := HandlerFunc(func(e *Engine, _ EventArg) { fired = append(fired, e.Now()) })
 	for _, d := range []Time{10, 20, 30, 40} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
+		e.ScheduleCall(d, rec, EventArg{})
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -127,8 +131,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(10, func() { ran++; e.Stop() })
-	e.Schedule(20, func() { ran++ })
+	e.ScheduleCall(10, HandlerFunc(func(e *Engine, _ EventArg) { ran++; e.Stop() }), EventArg{})
+	e.ScheduleCall(20, HandlerFunc(func(*Engine, EventArg) { ran++ }), EventArg{})
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("ran = %d after Stop, want 1", ran)
@@ -149,10 +153,16 @@ func TestEngineStopInsideEventHaltsRunUntil(t *testing.T) {
 	// event's timestamp, and allow a clean resume.
 	e := NewEngine()
 	var ran []Time
-	e.Schedule(10, func() { ran = append(ran, e.Now()) })
-	e.Schedule(20, func() { ran = append(ran, e.Now()); e.Stop() })
-	e.Schedule(30, func() { ran = append(ran, e.Now()) })
-	e.Schedule(40, func() { ran = append(ran, e.Now()) })
+	rec := HandlerFunc(func(e *Engine, arg EventArg) {
+		ran = append(ran, e.Now())
+		if arg.B == 1 {
+			e.Stop()
+		}
+	})
+	e.ScheduleCall(10, rec, EventArg{})
+	e.ScheduleCall(20, rec, EventArg{B: 1})
+	e.ScheduleCall(30, rec, EventArg{})
+	e.ScheduleCall(40, rec, EventArg{})
 	end := e.RunUntil(100)
 	if len(ran) != 2 {
 		t.Fatalf("ran %d events before Stop, want 2", len(ran))
@@ -177,12 +187,13 @@ func TestEngineStopInsideEventHaltsRunUntil(t *testing.T) {
 func TestEngineEventPoolingAllocationFree(t *testing.T) {
 	// Once the queue slice has grown to its working capacity, schedule/run
 	// cycles must reuse it — the value-typed queue has no per-event
-	// allocation to make.
+	// allocation to make, and a func value converts to a HandlerFunc
+	// without one.
 	e := NewEngine()
-	fn := func() {}
+	fn := HandlerFunc(func(*Engine, EventArg) {})
 	burst := func() {
 		for i := 0; i < 8; i++ {
-			e.Schedule(Time(i), fn)
+			e.ScheduleCall(Time(i), fn, EventArg{})
 		}
 		e.Run()
 	}
@@ -195,7 +206,7 @@ func TestEngineEventPoolingAllocationFree(t *testing.T) {
 
 func TestEngineQueueReusesCapacity(t *testing.T) {
 	// White-box: dispatching must leave every vacated slab slot zeroed, so
-	// no slot pins a dead packet or closure, and freed slots must be reused,
+	// no slot pins a dead packet or handler, and freed slots must be reused,
 	// so the slab grows with the peak pending count, not with total events.
 	e := NewEngine()
 	payload := &struct{ v int }{}
@@ -203,11 +214,7 @@ func TestEngineQueueReusesCapacity(t *testing.T) {
 	const rounds, peak = 50, 4
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < peak; i++ {
-			if i%2 == 0 {
-				e.Schedule(Duration(i), func() {})
-			} else {
-				e.ScheduleCall(Duration(i), &h, EventArg{Ptr: payload})
-			}
+			e.ScheduleCall(Duration(i), &h, EventArg{Ptr: payload})
 		}
 		e.Run()
 	}
@@ -227,31 +234,10 @@ func TestEngineQueueReusesCapacity(t *testing.T) {
 		t.Fatalf("free list holds %d of %d slots on an idle engine, want all", len(e.free), len(e.slab))
 	}
 	for i, p := range e.slab[:cap(e.slab)] {
-		if p.fn != nil || p.h != nil || p.arg.Ptr != nil {
+		if p.h != nil || p.arg.Ptr != nil {
 			t.Fatalf("vacated slab slot %d still holds callback references", i)
 		}
 	}
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule(-1) did not panic")
-		}
-	}()
-	NewEngine().Schedule(-1, func() {})
-}
-
-func TestEnginePastAtPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At(past) did not panic")
-		}
-	}()
-	e.At(50, func() {})
 }
 
 // The heap must stay consistent under arbitrary interleavings of schedule
@@ -260,8 +246,9 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		e := NewEngine()
 		var seen []Time
+		rec := HandlerFunc(func(e *Engine, _ EventArg) { seen = append(seen, e.Now()) })
 		for _, d := range delays {
-			e.Schedule(Time(d), func() { seen = append(seen, e.Now()) })
+			e.ScheduleCall(Time(d), rec, EventArg{})
 		}
 		e.Run()
 		for i := 1; i < len(seen); i++ {
@@ -388,71 +375,25 @@ func TestRNGBool(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSchedule measures the steady-state schedule/dispatch cycle
-// on a primed engine; with event pooling it runs allocation-free (watch the
-// allocs/op column).
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := NewEngine()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i), fn)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(Time(i%17), fn)
-		if i%64 == 63 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		var tick func()
-		n := 0
-		tick = func() {
-			n++
-			if n < 1000 {
-				e.Schedule(Time(n%17), tick)
-			}
-		}
-		e.Schedule(0, tick)
-		e.Run()
-	}
-}
-
 // TestScheduleOverflowPanicsExplicitly is the regression test for the
-// Schedule/ScheduleCall overflow bug: a delay that wraps e.now+delay past
-// MaxInt64 used to fall through to At/CallAt and panic with the misleading
+// ScheduleCall overflow bug: a delay that wraps e.now+delay past MaxInt64
+// used to fall through to CallAt and panic with the misleading
 // "schedule at -… before now" message. It must now name the overflow.
 func TestScheduleOverflowPanicsExplicitly(t *testing.T) {
-	for _, closure := range []bool{true, false} {
-		e := NewEngine()
-		// Advance the clock so now+MaxInt64 wraps.
-		e.At(10, func() {})
-		e.Run()
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("closure=%v: overflowing delay did not panic", closure)
-				}
-				msg := fmt.Sprint(r)
-				if want := "overflows the time axis"; !strings.Contains(msg, want) {
-					t.Fatalf("closure=%v: panic %q does not mention %q", closure, msg, want)
-				}
-			}()
-			if closure {
-				e.Schedule(Duration(math.MaxInt64), func() {})
-			} else {
-				var h countHandler
-				e.ScheduleCall(Duration(math.MaxInt64), &h, EventArg{})
-			}
-		}()
-	}
+	e := NewEngine()
+	var h countHandler
+	// Advance the clock so now+MaxInt64 wraps.
+	e.CallAt(10, &h, EventArg{})
+	e.Run()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("overflowing delay did not panic")
+		}
+		msg := fmt.Sprint(r)
+		if want := "overflows the time axis"; !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not mention %q", msg, want)
+		}
+	}()
+	e.ScheduleCall(Duration(math.MaxInt64), &h, EventArg{})
 }

@@ -7,8 +7,9 @@ func TestDispatchHook(t *testing.T) {
 	var hooked []Time
 	var ran []Time
 	e.SetDispatchHook(func(at Time) { hooked = append(hooked, at) })
+	rec := HandlerFunc(func(e *Engine, _ EventArg) { ran = append(ran, e.Now()) })
 	for _, d := range []Time{10, 20, 30} {
-		e.Schedule(d, func() { ran = append(ran, e.Now()) })
+		e.ScheduleCall(d, rec, EventArg{})
 	}
 	e.Run()
 	if len(hooked) != 3 {
@@ -24,7 +25,7 @@ func TestDispatchHook(t *testing.T) {
 	}
 	// Detach: no further callbacks.
 	e.SetDispatchHook(nil)
-	e.Schedule(5, func() {})
+	e.ScheduleCall(5, rec, EventArg{})
 	e.Run()
 	if len(hooked) != 3 {
 		t.Fatalf("hook fired after detach: %d calls", len(hooked))
@@ -37,10 +38,10 @@ func TestDispatchHookAllocationFree(t *testing.T) {
 	e := NewEngine()
 	var n uint64
 	e.SetDispatchHook(func(Time) { n++ })
-	fn := func() {}
+	var h countHandler
 	burst := func() {
 		for i := 0; i < 8; i++ {
-			e.Schedule(Time(i), fn)
+			e.ScheduleCall(Time(i), &h, EventArg{})
 		}
 		e.Run()
 	}

@@ -31,21 +31,25 @@ func TestQueueDispatchOrderProperty(t *testing.T) {
 		var want []refEvent
 		var got []refEvent
 		seq := 0
-		// record returns the callback for reference event id, optionally
-		// scheduling a child event when it runs.
+		// add schedules reference event seq (arg.A), which schedules a
+		// child when it runs if nested (arg.B == 1).
 		var add func(at Time, nested bool)
+		rec := HandlerFunc(func(e *Engine, arg EventArg) {
+			got = append(got, refEvent{at: e.Now(), seq: int(arg.A)})
+			if arg.B == 1 {
+				// Child at a delay drawn from the same small range so it
+				// collides with already-queued timestamps.
+				add(e.Now()+Time(rng.Intn(4)), false)
+			}
+		})
 		add = func(at Time, nested bool) {
-			id := seq
+			arg := EventArg{A: uint64(seq)}
+			if nested {
+				arg.B = 1
+			}
+			want = append(want, refEvent{at: at, seq: seq})
 			seq++
-			want = append(want, refEvent{at: at, seq: id})
-			e.At(at, func() {
-				got = append(got, refEvent{at: e.Now(), seq: id})
-				if nested {
-					// Child at a delay drawn from the same small range so
-					// it collides with already-queued timestamps.
-					add(e.Now()+Time(rng.Intn(4)), false)
-				}
-			})
+			e.CallAt(at, rec, arg)
 		}
 		n := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
@@ -199,9 +203,10 @@ func TestScheduleSeqOverflowPanics(t *testing.T) {
 	e := NewEngine()
 	e.seq = maxSeq - 2
 	var order []int
-	e.Schedule(5, func() { order = append(order, 1) })
-	e.Schedule(5, func() { order = append(order, 2) })
-	msg := mustPanic(t, "schedule past maxSeq", func() { e.Schedule(5, func() {}) })
+	rec := HandlerFunc(func(_ *Engine, arg EventArg) { order = append(order, int(arg.A)) })
+	e.ScheduleCall(5, rec, EventArg{A: 1})
+	e.ScheduleCall(5, rec, EventArg{A: 2})
+	msg := mustPanic(t, "schedule past maxSeq", func() { e.ScheduleCall(5, rec, EventArg{}) })
 	if !strings.Contains(msg, "overflows") {
 		t.Fatalf("panic %q does not name the overflow", msg)
 	}
@@ -275,9 +280,9 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 	// The head peek must stop the loop at the first event past the deadline
 	// without popping it.
 	e := NewEngine()
-	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(200, func() { ran++ })
+	var ran countHandler
+	e.ScheduleCall(10, &ran, EventArg{})
+	e.ScheduleCall(200, &ran, EventArg{})
 	e.RunUntil(100)
 	if ran != 1 || e.Pending() != 1 {
 		t.Fatalf("ran=%d pending=%d after RunUntil(100), want 1/1", ran, e.Pending())
@@ -292,8 +297,8 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 }
 
 func TestRunUntilStopInsideScheduleCall(t *testing.T) {
-	// Stop fired from inside a handler must halt RunUntil exactly like the
-	// closure path: later events stay pending, the clock stays put.
+	// Stop fired from inside a handler must halt RunUntil after that event:
+	// later events stay pending, the clock stays put.
 	e := NewEngine()
 	h := &recordingHandler{}
 	e.ScheduleCall(10, h, EventArg{A: 1})
@@ -315,7 +320,7 @@ func TestRunUntilStopInsideScheduleCall(t *testing.T) {
 	}
 }
 
-// --- closure-free scheduling API -----------------------------------------
+// --- handler scheduling API ----------------------------------------------
 
 type recordingHandler struct {
 	calls []EventArg
@@ -349,27 +354,6 @@ func TestScheduleCallDelivery(t *testing.T) {
 	}
 }
 
-func TestScheduleCallInterleavesWithSchedule(t *testing.T) {
-	// Closure events and handler events share one (time, seq) order.
-	e := NewEngine()
-	var order []int
-	h := &recordingHandler{}
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.ScheduleCall(10, h, EventArg{A: 2})
-	e.Schedule(10, func() { order = append(order, 3) })
-	e.ScheduleCall(5, h, EventArg{A: 0})
-	e.Run()
-	if len(h.calls) != 2 || h.calls[0].A != 0 || h.calls[1].A != 2 {
-		t.Fatalf("handler order = %+v, want A=0 then A=2", h.calls)
-	}
-	if h.times[0] != 5 || h.times[1] != 10 {
-		t.Fatalf("handler times = %v, want [5 10]", h.times)
-	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("closure order = %v, want [1 3]", order)
-	}
-}
-
 func TestScheduleCallNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -381,7 +365,7 @@ func TestScheduleCallNegativeDelayPanics(t *testing.T) {
 
 func TestCallAtPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(100, func() {})
+	e.ScheduleCall(100, stopHandler{}, EventArg{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
@@ -416,9 +400,8 @@ func TestScheduleCallAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineScheduleCall measures the steady-state closure-free
-// schedule/dispatch cycle on a primed engine; it must report 0 allocs/op
-// (the perf-guard companion to BenchmarkEngineSchedule).
+// BenchmarkEngineScheduleCall measures the steady-state schedule/dispatch
+// cycle on a primed engine; it must report 0 allocs/op.
 func BenchmarkEngineScheduleCall(b *testing.B) {
 	e := NewEngine()
 	var h countHandler

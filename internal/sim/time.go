@@ -36,7 +36,7 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time with an adaptive unit, e.g. "12.800ns" or "1.500us".
 func (t Time) String() string {
 	switch {
-	case t < 0:
+	case t < 0 && -t > 0: // -t wraps for the minimum Time, printed in ps below
 		return fmt.Sprintf("-%v", -t)
 	case t < Nanosecond:
 		return fmt.Sprintf("%dps", int64(t))

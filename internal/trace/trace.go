@@ -219,8 +219,11 @@ func (c *traceCore) run() {
 	}
 	c.remain--
 	gap := c.rng.Geometric(c.m.prof.MeanGapInstr)
-	c.m.eng.Schedule(c.m.p.Cycles(gap), func() { c.reference() })
+	c.m.eng.ScheduleCall(c.m.p.Cycles(gap), c, sim.EventArg{})
 }
+
+// OnEvent implements sim.Handler: after the gap, make the next reference.
+func (c *traceCore) OnEvent(*sim.Engine, sim.EventArg) { c.reference() }
 
 func (c *traceCore) reference() {
 	addr, write := c.next()

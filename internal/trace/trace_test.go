@@ -133,6 +133,21 @@ func TestTraceDeterministic(t *testing.T) {
 	if r1() != r1() {
 		t.Fatal("trace-driven run not deterministic")
 	}
+	// Exact result of one workload: the per-core instruction-gap timer
+	// and the coherence chain must keep their event order.
+	prof, _ := trace.ProfileByName("radix", 0.05)
+	p := core.DefaultParams()
+	p.CoresPerSite = 2
+	eng := sim.NewEngine()
+	st := core.NewStats(0)
+	net := networks.MustNew(networks.TwoPhase, eng, p, st)
+	m := trace.NewMachine(eng, p, net, st, prof)
+	res := m.Run(4)
+	got := [...]uint64{uint64(res.Runtime), res.Ops, uint64(res.LatencyPerOp), uint64(res.MaxLatency), st.Delivered, m.Writebacks}
+	want := [...]uint64{1673200, 19119, 152388, 636125, 42027, 0}
+	if got != want {
+		t.Errorf("radix on two-phase: [runtime ops latency/op max-latency delivered writebacks] = %v, want %v", got, want)
+	}
 }
 
 func TestTraceOnSlowNetworkTakesLonger(t *testing.T) {

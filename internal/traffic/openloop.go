@@ -53,11 +53,11 @@ type OpenLoop struct {
 	// free recycles delivered packets for retry-free runs: the recycler
 	// handler (the packet's last holder under the delivery contract) pushes
 	// each delivered packet here and send pops instead of allocating, so
-	// the steady-state inject→deliver cycle allocates nothing. Disabled
-	// automatically when Retry is enabled — a timed-out packet may be
-	// retained past delivery by the retransmit bookkeeping, so recycling
-	// would alias live packets. Packets lost to injected faults simply
-	// never return to the list; correctness never depends on its size.
+	// the steady-state inject→deliver cycle allocates nothing. Unused when
+	// Retry is enabled: each attempt's packet delivers to its flight, not
+	// to the recycler, and is allocated fresh. Packets lost to injected
+	// faults simply never return to the list; correctness never depends
+	// on its size.
 	free []*core.Packet
 }
 
@@ -116,22 +116,36 @@ func (o *OpenLoop) send(src, dst geometry.SiteID, attempt int) {
 		o.Net.Inject(p)
 		return
 	}
-	p := &core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData}
-	delivered := false
-	p.OnDeliver = func(_ *core.Packet, _ sim.Time) { delivered = true }
-	o.Net.Inject(p)
-	o.Eng.Schedule(o.backoff(attempt), func() {
-		if delivered {
-			return
-		}
-		st := o.Net.Stats()
-		if attempt >= o.Retry.MaxRetries {
-			st.AddAbort()
-			return
-		}
-		st.AddRetry()
-		o.send(src, dst, attempt+1)
-	})
+	f := &flight{o: o, src: src, dst: dst, attempt: attempt}
+	o.Net.Inject(&core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData, Deliver: f})
+	o.Eng.ScheduleCall(core.Backoff(o.Retry.Timeout, attempt, o.retryRNG), f, sim.EventArg{})
+}
+
+// flight is one attempt of a retried packet: its Deliver handler and its
+// delivery-timeout event, so an attempt allocates the packet and this
+// struct only. Each attempt has its own flag, so a late delivery of
+// attempt k does not cancel attempt k+1's timer.
+type flight struct {
+	o         *OpenLoop
+	src, dst  geometry.SiteID
+	attempt   int
+	delivered bool
+}
+
+func (f *flight) OnDeliver(*core.Packet, sim.Time) { f.delivered = true }
+
+// OnEvent is the attempt's timeout: retransmit or, past the budget, abort.
+func (f *flight) OnEvent(*sim.Engine, sim.EventArg) {
+	if f.delivered {
+		return
+	}
+	st := f.o.Net.Stats()
+	if f.attempt >= f.o.Retry.MaxRetries {
+		st.AddAbort()
+		return
+	}
+	st.AddRetry()
+	f.o.send(f.src, f.dst, f.attempt+1)
 }
 
 // Instrument implements metrics.Instrumentable: progress gauges derived
@@ -195,16 +209,4 @@ func (r *recycler) OnDeliver(p *core.Packet, _ sim.Time) {
 	o := (*OpenLoop)(r)
 	p.Deliver = nil
 	o.free = append(o.free, p)
-}
-
-// backoff returns attempt k's timeout: Timeout × 2^k plus up to one
-// Timeout of seeded jitter, so correlated losses do not resynchronize
-// their retries.
-func (o *OpenLoop) backoff(attempt int) sim.Duration {
-	if attempt > 20 {
-		attempt = 20
-	}
-	d := o.Retry.Timeout << attempt
-	d += sim.Time(o.retryRNG.Float64() * float64(o.Retry.Timeout))
-	return d
 }

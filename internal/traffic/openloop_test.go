@@ -90,8 +90,8 @@ func TestOpenLoopRetryRecoversOutage(t *testing.T) {
 		Until: 2 * sim.Microsecond, Seed: 9,
 		Retry: traffic.RetryPolicy{Timeout: 200 * sim.Nanosecond, MaxRetries: 5},
 	}
-	eng.At(1, func() { fnet.FailLaser(0) })
-	eng.At(500*sim.Nanosecond, func() { fnet.RepairLaser(0) })
+	eng.CallAt(1, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) { fnet.FailLaser(0) }), sim.EventArg{})
+	eng.CallAt(500*sim.Nanosecond, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) { fnet.RepairLaser(0) }), sim.EventArg{})
 	gen.Start()
 	eng.Run()
 	if st.Dropped == 0 {
@@ -130,7 +130,8 @@ func TestOpenLoopRetryExhaustionAborts(t *testing.T) {
 		Until: 500 * sim.Nanosecond, Seed: 10,
 		Retry: traffic.RetryPolicy{Timeout: 100 * sim.Nanosecond, MaxRetries: 1},
 	}
-	eng.At(1, func() { fnet.FailLaser(1) }) // transpose: site 1 → site 8
+	// Transpose: site 1 → site 8.
+	eng.CallAt(1, sim.HandlerFunc(func(*sim.Engine, sim.EventArg) { fnet.FailLaser(1) }), sim.EventArg{})
 	gen.Start()
 	end := eng.Run()
 	if st.Aborts == 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"macrochip/internal/core"
 	"macrochip/internal/geometry"
 	"macrochip/internal/sim"
 )
@@ -176,5 +177,46 @@ func TestPatternsDeterministicWithSeed(t *testing.T) {
 		if u.Dest(5, a) != u.Dest(5, b) {
 			t.Fatal("uniform pattern not deterministic per seed")
 		}
+	}
+}
+
+// blackHole is a core.Network that loses every packet, as a dark laser
+// would: each is stamped as injected and counted as dropped.
+type blackHole struct {
+	eng *sim.Engine
+	st  *core.Stats
+}
+
+func (b *blackHole) Name() string { return "black-hole" }
+
+func (b *blackHole) Inject(p *core.Packet) {
+	b.st.StampInjection(p, b.eng.Now())
+	b.st.AddDrop()
+}
+
+func (b *blackHole) Stats() *core.Stats { return b.st }
+
+func TestRetryAllocsPerAttempt(t *testing.T) {
+	// A retried packet's attempt is its packet plus one flight struct,
+	// which is both the Deliver handler and the timeout event: no flag or
+	// closure escapes per attempt.
+	eng := sim.NewEngine()
+	st := core.NewStats(0)
+	const maxRetries = 3
+	o := &OpenLoop{Eng: eng, Net: &blackHole{eng, st}, PacketBytes: 64,
+		Retry:    RetryPolicy{Timeout: 100 * sim.Nanosecond, MaxRetries: maxRetries},
+		retryRNG: sim.NewRNG(1)}
+	step := func() {
+		o.send(0, 1, 0)
+		eng.Run()
+	}
+	step() // prime the event queue
+	const attempts = maxRetries + 1
+	if per := testing.AllocsPerRun(100, step) / attempts; per > 2 {
+		t.Fatalf("retried open-loop attempt allocated %.2f, want ≤ 2 (packet + flight)", per)
+	}
+	if runs := uint64(1 + 1 + 100); st.Injected != runs*attempts || st.Aborts != runs || st.Retries != runs*maxRetries {
+		t.Fatalf("injected %d, retries %d, aborts %d; want %d, %d, %d",
+			st.Injected, st.Retries, st.Aborts, runs*attempts, runs*maxRetries, runs)
 	}
 }
