@@ -47,10 +47,14 @@ bench-smoke:
 # distributed-protocol frame parser's Read must never panic on arbitrary
 # bytes, and every message it accepts must survive a Write/Read round trip.
 # The operator-graph JSON loader must never panic, and every graph it
-# accepts must validate and replay to completion.
+# accepts must validate and replay to completion. The worker's strict cell
+# spec decode must never panic, and every spec it accepts must have a
+# canonical JSON form; its seeds are kilobyte specs, which the fuzzer
+# would otherwise spend most of the run minimizing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/distrib
 	$(GO) test -run '^$$' -fuzz FuzzLoadJSON -fuzztime 10s ./internal/opgraph
+	$(GO) test -run '^$$' -fuzz FuzzCellSpec -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second
@@ -59,9 +63,11 @@ fuzz-smoke:
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 
-# dist-smoke runs a tiny figure-6 panel serially and through a coordinator
-# with two locally spawned macrosim workers, and requires byte-identical
-# CSV plus proof (the dist summary) that cells actually crossed the wire.
+# dist-smoke runs a tiny figure-6 panel serially and through three fleets —
+# two spawned macrosim workers, one TCP worker, and one spawned worker
+# beside one TCP worker — and requires byte-identical CSV plus proof (the
+# dist summary) that cells actually crossed the wire, in the mixed fleet
+# on both kinds of worker.
 dist-smoke:
 	@sh scripts/dist_smoke.sh
 

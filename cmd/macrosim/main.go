@@ -21,9 +21,10 @@
 //	macrosim -connect host:9099           # serve cells over TCP
 //
 // In worker mode macrosim executes experiment cells for a coordinator
-// (cmd/figures -dist-workers/-dist-addr et al.) and prints nothing on
-// stdout except protocol; logs go to stderr. SIGTERM drains gracefully:
-// the in-flight cell finishes and is answered before the worker exits.
+// (cmd/figures -dist-workers/-dist-addr et al.), one at a time, and prints
+// nothing on stdout except protocol; logs go to stderr. Run one worker per
+// core to use a machine's cores. SIGTERM drains gracefully: the in-flight
+// cell finishes and is answered before the worker exits.
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 	"strings"
 
 	"macrochip"
-	"macrochip/internal/distrib"
 	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
 	"macrochip/internal/metrics"
@@ -61,14 +61,13 @@ func main() {
 	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), "result cache directory (worker mode)")
 	noCache := flag.Bool("no-cache", false, "disable the result cache (worker mode)")
 	cacheURL := flag.String("cache-url", "", "rendezvous daemon base URL for the shared cache tier, e.g. http://host:8080 (worker mode)")
-	distDepth := flag.Int("dist-depth", distrib.DefaultCredits, "in-flight cell window advertised to the coordinator (worker mode)")
 	flag.Parse()
 
 	// Worker mode must come before anything prints: in -worker mode stdout
 	// carries the wire protocol, and a stray banner would be a framing
 	// violation the coordinator tears the session down for.
 	if *worker || *connect != "" {
-		os.Exit(runWorker(*connect, *cacheDir, *noCache, *cacheURL, *distDepth))
+		os.Exit(runWorker(*connect, *cacheDir, *noCache, *cacheURL))
 	}
 
 	sys := macrochip.NewSystem(macrochip.WithSeed(*seed))

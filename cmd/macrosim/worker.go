@@ -17,13 +17,11 @@ import (
 // a coordinator until EOF, shutdown, or SIGTERM. With connect empty the
 // transport is stdin/stdout (the coordinator spawned this process); with a
 // host:port it is a TCP dial-out to a coordinator listening via
-// -dist-addr. depth is the credit window advertised in the hello
-// (-dist-depth): up to that many cells compute concurrently while earlier
-// results drain back. Either way the worker's own result cache —
-// optionally backed by a daemon's shared tier via -cache-url — is the only
-// place results are persisted, through the same atomic temp-file+rename
-// publish every local run uses.
-func runWorker(connect, cacheDir string, noCache bool, cacheURL string, depth int) int {
+// -dist-addr. Either way it computes one cell at a time, and the worker's
+// own result cache — optionally backed by a daemon's shared tier via
+// -cache-url — is the only place results are persisted, through the same
+// atomic temp-file+rename publish every local run uses.
+func runWorker(connect, cacheDir string, noCache bool, cacheURL string) int {
 	cache, err := expcache.OpenOrDisable(cacheDir, noCache)
 	if err != nil {
 		log.Printf("result cache disabled: %v", err)
@@ -54,7 +52,7 @@ func runWorker(connect, cacheDir string, noCache bool, cacheURL string, depth in
 		in, out = conn, conn
 	}
 
-	if err := harness.ServeWorker(in, out, r, name, depth, quit, os.Stderr); err != nil {
+	if err := harness.ServeWorker(in, out, r, name, quit, os.Stderr); err != nil {
 		log.Print(err)
 		return 1
 	}

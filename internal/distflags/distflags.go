@@ -1,19 +1,19 @@
 // Package distflags wires the standard distributed-sweep flag block —
-// -dist-workers, -dist-addr, -dist-exec, -dist-wait, -dist-depth,
-// -dist-local, -cache-url — into the study CLIs (cmd/figures,
-// cmd/resilience, cmd/inference), so every sweep command grows the same
-// distributed surface with one Register call and the flags mean the same
-// thing everywhere.
+// -dist-workers, -dist-addr, -dist-exec, -dist-wait, -cache-url — into
+// the study CLIs (cmd/figures, cmd/resilience, cmd/inference) and the
+// daemon, so every sweep command grows the same distributed surface with
+// one Register call and the flags mean the same thing everywhere.
+//
+// Each worker computes one cell at a time, so the fleet's width is its
+// worker count: to use this machine's cores next to remote workers, add
+// -dist-workers N beside -dist-addr.
 package distflags
 
 import (
 	"flag"
 	"os"
-	"runtime"
-	"strconv"
 	"time"
 
-	"macrochip/internal/distrib"
 	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
 )
@@ -25,8 +25,6 @@ type Flags struct {
 	exec     string
 	wait     int
 	waitFor  time.Duration
-	depth    int
-	local    int
 	cacheURL string
 }
 
@@ -34,13 +32,11 @@ type Flags struct {
 // before flag.Parse).
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.workers, "dist-workers", 0, "spawn this many local worker processes (-dist-exec -worker) and fan sweep cells across them")
-	fs.StringVar(&f.addr, "dist-addr", "", "listen on host:port for remote workers (macrosim -connect host:port)")
+	fs.IntVar(&f.workers, "dist-workers", 0, "spawn this many local worker processes (-dist-exec -worker), one cell at a time each; beside -dist-addr it puts this machine's cores into the fleet")
+	fs.StringVar(&f.addr, "dist-addr", "", "listen on host:port for remote workers (one macrosim -connect host:port per remote core)")
 	fs.StringVar(&f.exec, "dist-exec", "macrosim", "worker binary spawned for -dist-workers (resolved via PATH)")
 	fs.IntVar(&f.wait, "dist-wait", 0, "wait for this many attached workers before sweeping (0 = start immediately)")
 	fs.DurationVar(&f.waitFor, "dist-wait-timeout", time.Minute, "how long -dist-wait waits before giving up")
-	fs.IntVar(&f.depth, "dist-depth", distrib.DefaultCredits, "per-worker in-flight cell window (pipelining depth; 1 = stop-and-wait)")
-	fs.IntVar(&f.local, "dist-local", 0, "local steal slots computing cells alongside the fleet (0 = auto: GOMAXPROCS when remote-only, else off; -1 = off)")
 	fs.StringVar(&f.cacheURL, "cache-url", "", "macrochipd base URL for the shared cache tier, e.g. http://host:8080")
 	return f
 }
@@ -75,28 +71,13 @@ func (f *Flags) Coordinator(seed int64, cacheDir string, noCache bool) (*harness
 	if f.cacheURL != "" {
 		args = append(args, "-cache-url", f.cacheURL)
 	}
-	if f.depth > 0 {
-		args = append(args, "-dist-depth", strconv.Itoa(f.depth))
-	}
-	// -dist-local 0 is "auto": steal with the local cores only when the
-	// fleet is remote-only (spawned local workers already consume this
-	// machine's cores, so stealing on top would oversubscribe it).
-	local := f.local
-	if local == 0 && f.workers == 0 {
-		local = runtime.GOMAXPROCS(0)
-	}
-	if local < 0 {
-		local = 0
-	}
 	d, err := harness.NewCoordinator(harness.CoordinatorConfig{
-		Workers:    f.workers,
-		Exec:       f.exec,
-		Args:       args,
-		Addr:       f.addr,
-		MaxDepth:   f.depth,
-		LocalSlots: local,
-		Seed:       seed,
-		Log:        os.Stderr,
+		Workers: f.workers,
+		Exec:    f.exec,
+		Args:    args,
+		Addr:    f.addr,
+		Seed:    seed,
+		Log:     os.Stderr,
 	})
 	if err != nil {
 		return nil, err

@@ -7,20 +7,19 @@
 //
 // The conversation is deliberately small:
 //
-//	worker → coordinator   {"type":"hello","version":2,"worker":"proc-0","credits":8}
+//	worker → coordinator   {"type":"hello","version":3,"worker":"proc-0"}
 //	coordinator → worker   {"type":"cell","id":7,"kind":"loadpoint","spec":{...}}
 //	worker → coordinator   {"type":"result","id":7,"value":{...}}
 //	worker → coordinator   {"type":"error","id":7,"error":"..."}   (cell failed)
 //	coordinator → worker   {"type":"shutdown"}
 //
-// Dispatch is credit-based: the hello's credits field advertises how many
-// cells the worker is willing to hold in flight at once, and the
-// coordinator may stream up to that many unanswered cell messages before
-// seeing a result. Results may come back in any order — the cell ID is the
-// correlator — and a result for an ID that is not in flight (a credit
-// overflow, a duplicate, or an invented answer) is a protocol violation.
-// Coordinator and worker ship in one binary, so a hello at any other
-// version is rejected outright.
+// Dispatch is stop-and-wait: a connection holds at most one cell, and the
+// coordinator sends the next only after the worker has answered the last.
+// A worker computes one cell at a time, so a machine contributes its cores
+// by running one worker process per core. The cell ID is the correlator: a
+// result for any ID other than the one in flight (a duplicate, a stale or
+// an invented answer) is a protocol violation. Coordinator and worker ship
+// in one binary, so a hello at any other version is rejected outright.
 //
 // Every violation of that grammar — a line that is not JSON, a line over the
 // size cap, an unknown type, a message missing its required fields — is
@@ -44,18 +43,7 @@ import (
 // a coordinator admits: cells are executed by "the same code on another
 // machine", and any other revision's cell grammar could silently break the
 // byte-identity guarantee the distributed sweep is built on.
-const Version = 2
-
-// DefaultCredits is the in-flight cell window a worker advertises when
-// none is configured (-dist-depth). Eight cells keeps a connection busy
-// across a full protocol round trip without letting one slow worker hoard
-// a meaningful fraction of a sweep.
-const DefaultCredits = 8
-
-// MaxCredits caps what a coordinator will honor from any hello, however
-// large the advertisement — a bound on queue damage from a buggy or
-// malicious worker, not a tuning knob.
-const MaxCredits = 64
+const Version = 3
 
 // MaxLineBytes caps one framed message. Result values are JSON-encoded
 // harness result structs (hundreds of bytes); the only large payload is a
@@ -87,12 +75,9 @@ const (
 // know cell schemas — the harness owns those.
 type Msg struct {
 	Type string `json:"type"`
-	// Version and Worker identify a hello. Credits advertises the worker's
-	// in-flight cell window; the coordinator streams at most that many
-	// unanswered cells on the connection.
+	// Version and Worker identify a hello.
 	Version int    `json:"version,omitempty"`
 	Worker  string `json:"worker,omitempty"`
-	Credits int    `json:"credits,omitempty"`
 	// ID correlates a cell with its result or error. IDs are assigned by
 	// the coordinator, positive, and never reused — a requeued cell gets a
 	// fresh ID, so a stale answer from a torn-down worker can never be
@@ -202,8 +187,8 @@ func (m Msg) validate() error {
 		if m.Version == 0 {
 			return perr(ReasonIncomplete, "hello without version")
 		}
-		if m.Credits <= 0 {
-			return perr(ReasonIncomplete, "hello without positive credits (%d)", m.Credits)
+		if m.Version != Version {
+			return perr(ReasonBadVersion, "hello at version %d, want %d", m.Version, Version)
 		}
 	case TypeCell:
 		if m.ID <= 0 {

@@ -9,7 +9,7 @@ import (
 
 // roundTripMsgs holds one message of every type.
 var roundTripMsgs = []Msg{
-	{Type: TypeHello, Version: Version, Worker: "proc-0", Credits: DefaultCredits},
+	{Type: TypeHello, Version: Version, Worker: "proc-0"},
 	{Type: TypeCell, ID: 7, Kind: "loadpoint", Spec: []byte(`{"load":0.5}`)},
 	{Type: TypeResult, ID: 7, Value: []byte(`{"events":42}`)},
 	{Type: TypeError, ID: 9, Error: "cell panicked: boom"},
@@ -33,7 +33,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("Read #%d: %v", i, err)
 		}
 		if got.Type != want.Type || got.Version != want.Version || got.Worker != want.Worker ||
-			got.Credits != want.Credits || got.ID != want.ID || got.Kind != want.Kind ||
+			got.ID != want.ID || got.Kind != want.Kind ||
 			got.Error != want.Error || string(got.Spec) != string(want.Spec) ||
 			string(got.Value) != string(want.Value) {
 			t.Errorf("Read #%d = %+v, want %+v", i, got, want)
@@ -61,9 +61,14 @@ var rejectionCases = []struct {
 	{"unknown type", `{"type":"launch-missiles"}` + "\n", 0, ReasonBadType},
 	{"empty type", `{"id":3}` + "\n", 0, ReasonBadType},
 	{"hello without version", `{"type":"hello","worker":"w"}` + "\n", 0, ReasonIncomplete},
-	{"v2 hello without credits", `{"type":"hello","version":2,"worker":"w"}` + "\n", 0, ReasonIncomplete},
-	{"v1 hello without credits", `{"type":"hello","version":1,"worker":"w"}` + "\n", 0, ReasonIncomplete},
-	{"hello negative credits", `{"type":"hello","version":1,"worker":"w","credits":-3}` + "\n", 0, ReasonIncomplete},
+	// Protocol v3 dropped the credit window: an older hello is refused
+	// before any cell, by its version or by the field v3 no longer knows.
+	{"v2 hello without credits", `{"type":"hello","version":2,"worker":"w"}` + "\n", 0, ReasonBadVersion},
+	{"v1 hello without credits", `{"type":"hello","version":1,"worker":"w"}` + "\n", 0, ReasonBadVersion},
+	{"hello negative credits", `{"type":"hello","version":1,"worker":"w","credits":-3}` + "\n", 0, ReasonMalformed},
+	{"v2 hello with credits", `{"type":"hello","version":2,"worker":"w","credits":8}` + "\n", 0, ReasonMalformed},
+	{"v3 hello with credits", `{"type":"hello","version":3,"worker":"w","credits":1}` + "\n", 0, ReasonMalformed},
+	{"future hello", `{"type":"hello","version":4,"worker":"w"}` + "\n", 0, ReasonBadVersion},
 	{"cell without id", `{"type":"cell","kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
 	{"cell negative id", `{"type":"cell","id":-1,"kind":"loadpoint","spec":{}}` + "\n", 0, ReasonIncomplete},
 	{"cell without kind", `{"type":"cell","id":1,"spec":{}}` + "\n", 0, ReasonIncomplete},
@@ -136,7 +141,7 @@ func (r *trickleReader) Read(p []byte) (int, error) {
 // exactly like a single contiguous write.
 func TestReadFragmentedStream(t *testing.T) {
 	msgs := []Msg{
-		{Type: TypeHello, Version: Version, Worker: "frag", Credits: 8},
+		{Type: TypeHello, Version: Version, Worker: "frag"},
 		{Type: TypeCell, ID: 1, Kind: "loadpoint", Spec: []byte(`{"load":0.125,"pattern":"uniform"}`)},
 		{Type: TypeResult, ID: 1, Value: []byte(`{"mean_latency_ns":1234.5}`)},
 		{Type: TypeShutdown},
@@ -153,7 +158,7 @@ func TestReadFragmentedStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Read #%d: %v", i, err)
 		}
-		if got.Type != want.Type || got.ID != want.ID || got.Credits != want.Credits ||
+		if got.Type != want.Type || got.ID != want.ID || got.Version != want.Version ||
 			string(got.Spec) != string(want.Spec) || string(got.Value) != string(want.Value) {
 			t.Errorf("Read #%d = %+v, want %+v", i, got, want)
 		}

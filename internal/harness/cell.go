@@ -99,20 +99,13 @@ func cacheOnly[T any](r Runner, kind string, spec any, compute func() T) T {
 // distCell dispatches one cell to the coordinator fleet and runs it locally
 // when the fleet cannot serve it — the coordinator is absent, draining, out
 // of workers, the cell failed remotely, or the result did not decode; the
-// sweep never depends on remote success for completeness. A steal grant (a
-// phantom local slot claimed the cell from the queue tail) also runs local,
-// holding the slot for the duration so steals stay bounded by what the
-// local cores can absorb. Configs are validated before fan-out, so a local
-// run error is a bug and panics.
+// sweep never depends on remote success for completeness. Configs are
+// validated before fan-out, so a local run error is a bug and panics.
 func distCell[T any, C cell[T]](d *Coordinator, c C, spec []byte) T {
 	if d != nil && spec != nil {
-		out := d.exec(c.kind(), spec)
-		switch {
-		case out.release != nil:
-			defer out.release()
-		case out.value != nil:
+		if value, ok := d.Exec(c.kind(), spec); ok {
 			var v T
-			err := json.Unmarshal(out.value, &v)
+			err := json.Unmarshal(value, &v)
 			if err == nil {
 				return v
 			}
@@ -151,11 +144,21 @@ func RunCell(r Runner, kind string, spec []byte) (v any, err error) {
 
 // runWire strict-decodes a spec of kind C and runs it.
 func runWire[C cell[T], T any](r Runner, spec []byte) (any, error) {
+	c, err := decodeSpec[C](spec)
+	if err != nil {
+		return nil, err
+	}
+	return runCells(r, []C{c})[0], nil
+}
+
+// decodeSpec strict-decodes a wire spec of kind C: a field this build does
+// not know is an error, never a silently truncated config.
+func decodeSpec[C interface{ kind() string }](spec []byte) (C, error) {
 	var c C
 	dec := json.NewDecoder(bytes.NewReader(spec))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("harness: decoding %s spec: %w", c.kind(), err)
+		return c, fmt.Errorf("harness: decoding %s spec: %w", c.kind(), err)
 	}
-	return runCells(r, []C{c})[0], nil
+	return c, nil
 }

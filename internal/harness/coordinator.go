@@ -25,25 +25,22 @@ import (
 // can take it. Because a cell is the same pure (config, derived seed) unit
 // the cache addresses, and every result struct round-trips canonically
 // through JSON, sweeps are byte-identical to serial at any worker count,
-// any pipeline depth, any interleaving, and any failure pattern.
+// any interleaving, and any failure pattern.
 //
-// Dispatch is pipelined: each connection holds a window of up to its
-// hello-advertised credit count of unanswered cells, and results are
-// matched back to their jobs by cell ID in whatever order they arrive.
-// Cells wait in a coordinator-owned pending queue; connections take from
-// the head, and — when LocalSlots phantom workers are configured — local
-// cores steal from the tail, so a slow or dying remote fleet never idles
-// the machine the sweep runs on.
+// Dispatch is stop-and-wait: each connection holds at most one cell, and a
+// worker process computes one cell at a time, so a fleet uses more cores by
+// running more workers (-dist-workers N, or one `macrosim -connect` per
+// remote core). Cells wait in a coordinator-owned pending queue and every
+// idle connection takes from its head.
 //
 // Failure policy, from least to most trusted signal:
-//   - A protocol violation, transport error, reply for an unknown cell ID
-//     (credit overflow or stale answer), or per-cell deadline tears the
-//     connection down; every cell in its window is reassigned (with
-//     seeded backoff) up to Retries times each, then falls back to local
-//     compute. Cells are never lost, and a cell can never run twice: a
-//     job re-enters the queue only from the torn-down window that owned
-//     it, and the enqueue guard refuses a job that is already pending or
-//     in flight elsewhere.
+//   - A protocol violation, transport error, reply for any ID other than
+//     the cell in flight, or per-cell deadline tears the connection down;
+//     its cell is reassigned (with seeded backoff) up to Retries times,
+//     then falls back to local compute. Cells are never lost, and a cell
+//     can never run twice: a job re-enters the queue only from the
+//     torn-down connection that owned it, and the enqueue guard refuses a
+//     job that is already pending or in flight elsewhere.
 //   - A worker-reported cell error is permanent — retrying the same pure
 //     function elsewhere cannot help — so the cell falls back to local
 //     compute, where the failure reproduces under the caller's own error
@@ -54,33 +51,31 @@ import (
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	// doorbell wakes one consumer (a connection with window room, or a
-	// phantom local slot) when pending may be non-empty; every pop that
-	// leaves work behind rings it again, so a single buffered slot cannot
-	// lose a wakeup.
+	// doorbell wakes one idle connection when pending may be non-empty;
+	// every pop that leaves work behind rings it again, so a single
+	// buffered slot cannot lose a wakeup.
 	doorbell chan struct{}
 	// quit is closed when draining begins.
 	quit chan struct{}
 
 	mu sync.Mutex
 	// pending is the cell queue: connections pop from the head (index 0),
-	// phantom local slots steal from the tail, and requeued cells re-enter
-	// at the head so retries are not starved behind fresh work.
-	pending    []*distJob
-	nextID     int64
-	draining   bool
-	live       int // attached connections (pre- and post-hello)
-	ready      int // connections past the hello handshake
-	totalDepth int // sum of negotiated windows over ready connections
-	capacity   int // live slots: respawnable proc slots + remote conns
-	everAlive  bool
-	rng        *rand.Rand
-	workers    map[string]*workerStat
+	// and requeued cells re-enter at the head so retries are not starved
+	// behind fresh work.
+	pending   []*distJob
+	nextID    int64
+	draining  bool
+	live      int // attached connections (pre- and post-hello)
+	ready     int // connections past the hello handshake
+	capacity  int // live slots: respawnable proc slots + remote conns
+	everAlive bool
+	rng       *rand.Rand
+	workers   map[string]*workerStat
 
 	drainOnce sync.Once
 	execs     sync.WaitGroup // outstanding Exec calls
 	conns     sync.WaitGroup // serve goroutines
-	procs     sync.WaitGroup // process monitors, accept loop, phantom slots
+	procs     sync.WaitGroup // process monitors and the accept loop
 
 	ln net.Listener
 
@@ -93,8 +88,6 @@ type Coordinator struct {
 	failed     atomic.Uint64
 	fallbacks  atomic.Uint64
 	badValues  atomic.Uint64
-	stolen     atomic.Uint64
-	outOfOrder atomic.Uint64
 	deduped    atomic.Uint64
 }
 
@@ -106,23 +99,14 @@ type CoordinatorConfig struct {
 	// Exec is the worker binary (default "macrosim", resolved via PATH).
 	Exec string
 	// Args are extra arguments passed to every spawned worker after
-	// -worker (cache and depth flags, typically).
+	// -worker (cache flags, typically).
 	Args []string
 	// Addr, when non-empty, listens for remote `macrosim -connect`
 	// workers on this TCP address.
 	Addr string
-	// MaxDepth caps the in-flight window granted to any connection,
-	// whatever its hello advertises (default distrib.DefaultCredits,
-	// hard-capped at distrib.MaxCredits).
-	MaxDepth int
-	// LocalSlots is the number of phantom local workers stealing cells
-	// from the tail of the pending queue for in-process compute; 0
-	// disables stealing. Each slot holds at most one cell at a time, so
-	// steals are bounded by what the local cores can actually absorb.
-	LocalSlots int
 	// CellTimeout is the per-cell deadline: a worker that holds a cell
-	// longer is presumed hung, torn down, and every cell in its window
-	// reassigned (default 2 minutes).
+	// longer is presumed hung, torn down, and its cell reassigned
+	// (default 2 minutes).
 	CellTimeout time.Duration
 	// Retries bounds reassignments per cell before local fallback
 	// (default 3).
@@ -140,11 +124,9 @@ type CoordinatorConfig struct {
 // workerStat is one worker's throughput accounting, read by Stats via
 // atomics.
 type workerStat struct {
-	completed  atomic.Uint64
-	busyNanos  atomic.Int64
-	depth      atomic.Int64 // negotiated window (set at hello)
-	inflight   atomic.Int64 // cells currently unanswered
-	outOfOrder atomic.Uint64
+	completed atomic.Uint64
+	busyNanos atomic.Int64
+	inflight  atomic.Int64 // 1 while the worker holds a cell
 }
 
 // jobState tracks where a cell currently lives; transitions happen under
@@ -152,9 +134,9 @@ type workerStat struct {
 type jobState int
 
 const (
-	jobIdle     jobState = iota // with its Exec sender, not yet queued
+	jobIdle     jobState = iota // with its Exec caller, not yet queued
 	jobPending                  // in the pending queue
-	jobInFlight                 // inside one connection's window
+	jobInFlight                 // held by one connection
 	jobParked                   // waiting out a retry backoff
 	jobResolved                 // outcome delivered
 )
@@ -165,17 +147,9 @@ type distJob struct {
 	spec     json.RawMessage
 	attempts int
 	state    jobState // guarded by Coordinator.mu
-	// done carries the terminal outcome exactly once.
-	done chan distOutcome
-}
-
-// distOutcome is a job's terminal resolution. value non-nil: a remote
-// result. release non-nil: a phantom local slot granted this cell to its
-// caller — compute locally, then call release to free the slot. Both nil:
-// plain local fallback (the fleet could not serve the cell).
-type distOutcome struct {
-	value   json.RawMessage
-	release func()
+	// done carries the terminal outcome exactly once: a remote result, or
+	// nil for local compute (the fleet could not serve the cell).
+	done chan json.RawMessage
 }
 
 // distConn is one worker connection: a writer the serve goroutine owns, a
@@ -191,7 +165,6 @@ type distConn struct {
 	gone     chan struct{}
 	stat     *workerStat
 	helloed  bool
-	depth    int // negotiated in-flight window
 }
 
 func (cn *distConn) close() { cn.killOnce.Do(cn.kill) }
@@ -201,15 +174,6 @@ func (cn *distConn) close() { cn.killOnce.Do(cn.kill) }
 func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Exec == "" {
 		cfg.Exec = "macrosim"
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = distrib.DefaultCredits
-	}
-	if cfg.MaxDepth > distrib.MaxCredits {
-		cfg.MaxDepth = distrib.MaxCredits
-	}
-	if cfg.LocalSlots < 0 {
-		cfg.LocalSlots = 0
 	}
 	if cfg.CellTimeout <= 0 {
 		cfg.CellTimeout = 2 * time.Minute
@@ -225,7 +189,7 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:      cfg,
 		doorbell: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
@@ -233,11 +197,6 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 		workers:  map[string]*workerStat{},
 		pids:     map[int]bool{},
 	}
-	for i := 0; i < cfg.LocalSlots; i++ {
-		c.procs.Add(1)
-		go c.localSlot()
-	}
-	return c
 }
 
 // NewCoordinator spawns the configured local workers and/or opens the
@@ -406,7 +365,6 @@ func (c *Coordinator) detach(cn *distConn) {
 	c.live--
 	if cn.helloed {
 		c.ready--
-		c.totalDepth -= cn.depth
 	}
 	c.mu.Unlock()
 	if cn.remote {
@@ -428,7 +386,7 @@ func (c *Coordinator) slotDown() {
 	}
 }
 
-// ring wakes one queue consumer; the buffered slot coalesces bursts.
+// ring wakes one idle connection; the buffered slot coalesces bursts.
 func (c *Coordinator) ring() {
 	select {
 	case c.doorbell <- struct{}{}:
@@ -467,9 +425,8 @@ func (c *Coordinator) enqueue(j *distJob, atHead bool) (ok bool) {
 	return true
 }
 
-// popHead takes the next cell for a connection; stealTail takes the last
-// cell for a phantom local slot. Both re-ring the doorbell when work
-// remains so every waiting consumer eventually wakes.
+// popHead takes the next cell for a connection, re-ringing the doorbell
+// when work remains so every idle connection eventually wakes.
 func (c *Coordinator) popHead() *distJob {
 	c.mu.Lock()
 	if len(c.pending) == 0 {
@@ -487,25 +444,9 @@ func (c *Coordinator) popHead() *distJob {
 	return j
 }
 
-func (c *Coordinator) stealTail() *distJob {
-	c.mu.Lock()
-	if len(c.pending) == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	j := c.pending[len(c.pending)-1]
-	c.pending = c.pending[:len(c.pending)-1]
-	j.state = jobInFlight
-	more := len(c.pending) > 0
-	c.mu.Unlock()
-	if more {
-		c.ring()
-	}
-	return j
-}
-
-// resolve delivers a job's terminal outcome exactly once.
-func (c *Coordinator) resolve(j *distJob, out distOutcome) {
+// resolve delivers a job's terminal outcome exactly once: a remote result,
+// or nil for local compute.
+func (c *Coordinator) resolve(j *distJob, value json.RawMessage) {
 	c.mu.Lock()
 	if j.state == jobResolved {
 		c.mu.Unlock()
@@ -513,35 +454,7 @@ func (c *Coordinator) resolve(j *distJob, out distOutcome) {
 	}
 	j.state = jobResolved
 	c.mu.Unlock()
-	j.done <- out
-}
-
-// localSlot is one phantom worker: it steals a cell from the tail of the
-// pending queue, grants it back to its caller for in-process compute, and
-// holds the slot until that compute releases it — so steals never outrun
-// the local cores, and a healthy fast fleet keeps most of the queue.
-func (c *Coordinator) localSlot() {
-	defer c.procs.Done()
-	for {
-		select {
-		case <-c.doorbell:
-		case <-c.quit:
-			return
-		}
-		j := c.stealTail()
-		if j == nil {
-			continue
-		}
-		c.stolen.Add(1)
-		released := make(chan struct{})
-		var once sync.Once
-		c.resolve(j, distOutcome{release: func() { once.Do(func() { close(released) }) }})
-		select {
-		case <-released:
-		case <-c.quit:
-			return
-		}
-	}
+	j.done <- value
 }
 
 // pump frames the connection's incoming stream. The terminal error lands
@@ -562,173 +475,104 @@ func (cn *distConn) pump(r io.Reader) {
 	}
 }
 
-// inflightCell is one dispatched, unanswered cell inside a connection's
-// window.
-type inflightCell struct {
-	j        *distJob
-	start    time.Time
-	deadline time.Time
-}
-
-// serve runs one connection's dispatch loop: hello handshake, then a
-// pipelined window of cells until drain or teardown. The window holds up
-// to the negotiated credit count of unanswered cells; results match by ID
-// in any order, and the deadline watched is always the oldest outstanding
-// cell's (dispatch order means it is also the earliest).
+// serve runs one connection's dispatch loop: hello handshake, then one
+// cell at a time until drain or teardown. An idle connection waits for
+// work, drain, or its transport dying; anything the worker says while it
+// holds no cell is an answer to an ID it was never sent.
 func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 	defer c.detach(cn)
 	go cn.pump(r)
 	if !c.awaitHello(cn) {
 		return
 	}
-
-	window := make(map[int64]*inflightCell, cn.depth)
-	order := make([]int64, 0, cn.depth) // dispatch order; order[0] is oldest
-	dropID := func(id int64) {
-		delete(window, id)
-		for i, v := range order {
-			if v == id {
-				order = append(order[:i], order[i+1:]...)
-				break
-			}
-		}
-		cn.stat.inflight.Store(int64(len(window)))
-	}
-	// teardown requeues every unanswered cell in dispatch order and ends
-	// the connection; the serve loop returns right after calling it.
-	teardown := func(reason string) {
-		for _, id := range order {
-			c.requeue(window[id].j, cn.name, reason)
-		}
-		window, order = nil, nil
-		cn.stat.inflight.Store(0)
-	}
-
-	quitC := c.quit
-	quitSeen := false
 	for {
-		// Fill the window while credits and pending cells remain.
-		for !quitSeen && len(window) < cn.depth {
-			j := c.popHead()
-			if j == nil {
-				break
-			}
-			c.mu.Lock()
-			c.nextID++
-			id := c.nextID
-			c.mu.Unlock()
-			now := time.Now()
-			fc := &inflightCell{j: j, start: now, deadline: now.Add(c.cfg.CellTimeout)}
-			if wd, ok := cn.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
-				wd.SetWriteDeadline(fc.deadline) //nolint:errcheck // best-effort
-			}
-			if err := distrib.Write(cn.w, distrib.Msg{Type: distrib.TypeCell, ID: id, Kind: j.kind, Spec: j.spec}); err != nil {
-				c.requeue(j, cn.name, fmt.Sprintf("write: %v", err))
-				teardown(fmt.Sprintf("connection lost mid-write: %v", err))
+		if j := c.popHead(); j != nil {
+			if !c.dispatch(cn, j) {
 				return
 			}
-			c.dispatched.Add(1)
-			window[id] = fc
-			order = append(order, id)
-			cn.stat.inflight.Store(int64(len(window)))
+			continue
 		}
-		if quitSeen && len(window) == 0 {
+		select {
+		case <-c.doorbell:
+		case <-c.quit:
 			distrib.Write(cn.w, distrib.Msg{Type: distrib.TypeShutdown}) //nolint:errcheck // best-effort farewell
 			return
-		}
-
-		// Wait for the next event: a reply, more work (only with window
-		// room), the oldest cell's deadline, transport death, or drain.
-		var deadlineC <-chan time.Time
-		var deadlineTimer *time.Timer
-		if len(order) > 0 {
-			oldest := window[order[0]]
-			d := time.Until(oldest.deadline)
-			if d <= 0 {
-				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(order)))
-				return
-			}
-			deadlineTimer = time.NewTimer(d)
-			deadlineC = deadlineTimer.C
-		}
-		var jobsC <-chan struct{}
-		if !quitSeen && len(window) < cn.depth {
-			jobsC = c.doorbell
-		}
-		stop := func() {
-			if deadlineTimer != nil {
-				deadlineTimer.Stop()
-			}
-		}
-
-		select {
-		case m := <-cn.incoming:
-			stop()
-			switch m.Type {
-			case distrib.TypeResult, distrib.TypeError:
-				fc, ok := window[m.ID]
-				if !ok {
-					// Credit overflow, duplicate, or invented answer: the
-					// peer's accounting can no longer be trusted.
-					teardown(fmt.Sprintf("%s for unknown cell %d (%d in flight)", m.Type, m.ID, len(order)))
-					return
-				}
-				if m.ID != order[0] {
-					c.outOfOrder.Add(1)
-					cn.stat.outOfOrder.Add(1)
-				}
-				dropID(m.ID)
-				if m.Type == distrib.TypeResult {
-					c.completed.Add(1)
-					cn.stat.completed.Add(1)
-					cn.stat.busyNanos.Add(time.Since(fc.start).Nanoseconds())
-					c.resolve(fc.j, distOutcome{value: m.Value})
-				} else {
-					// Permanent: the cell itself failed. Rerunning the same
-					// pure function on another worker cannot change the
-					// outcome, so resolve to local compute and let the
-					// caller's own error path surface it.
-					c.failed.Add(1)
-					c.logf("worker %s: cell %d failed remotely: %s; computing locally", cn.name, m.ID, m.Error)
-					c.resolve(fc.j, distOutcome{})
-				}
-			default:
-				stop()
-				teardown(fmt.Sprintf("unexpected %q message", m.Type))
-				return
-			}
 		case err := <-cn.readErr:
-			stop()
-			if len(window) == 0 {
-				// The transport died while the connection was idle.
-				// Detaching now (rather than at the next dispatch) keeps
-				// Parallelism honest and lets a fully-dead fleet
-				// auto-drain promptly.
-				c.logf("worker %s: %v while idle; dropping", cn.name, err)
-				return
-			}
-			teardown(err.Error())
+			// The transport died while the connection was idle. Detaching
+			// now (rather than at the next dispatch) keeps Parallelism
+			// honest and lets a fully-dead fleet auto-drain promptly.
+			c.logf("worker %s: %v while idle; dropping", cn.name, err)
 			return
-		case <-deadlineC:
-			// Re-check against the clock: the timer may have raced a
-			// reply that already cleared the oldest cell this iteration.
-			if len(order) > 0 && !time.Now().Before(window[order[0]].deadline) {
-				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(order)))
-				return
-			}
-		case <-jobsC:
-			stop()
-		case <-quitC:
-			stop()
-			quitSeen = true
-			quitC = nil
+		case m := <-cn.incoming:
+			c.logf("worker %s: %s for cell %d with no cell in flight; dropping", cn.name, m.Type, m.ID)
+			return
 		}
 	}
 }
 
+// dispatch sends one cell and waits for its answer. A result or a cell
+// error resolves the job and keeps the connection; anything else — a
+// transport error, the deadline, a reply for another ID, an unexpected
+// message — requeues the cell and reports false, tearing the connection
+// down. Drain does not interrupt it: the cell in flight finishes (or
+// times out) first.
+func (c *Coordinator) dispatch(cn *distConn, j *distJob) bool {
+	c.mu.Lock()
+	c.nextID++
+	id := c.nextID
+	c.mu.Unlock()
+	start := time.Now()
+	if wd, ok := cn.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
+		wd.SetWriteDeadline(start.Add(c.cfg.CellTimeout)) //nolint:errcheck // best-effort
+	}
+	if err := distrib.Write(cn.w, distrib.Msg{Type: distrib.TypeCell, ID: id, Kind: j.kind, Spec: j.spec}); err != nil {
+		c.requeue(j, cn.name, fmt.Sprintf("connection lost mid-write: %v", err))
+		return false
+	}
+	c.dispatched.Add(1)
+	cn.stat.inflight.Store(1)
+	defer cn.stat.inflight.Store(0)
+	deadline := time.NewTimer(c.cfg.CellTimeout)
+	defer deadline.Stop()
+
+	select {
+	case m := <-cn.incoming:
+		if m.Type != distrib.TypeResult && m.Type != distrib.TypeError {
+			c.requeue(j, cn.name, fmt.Sprintf("unexpected %q message", m.Type))
+			return false
+		}
+		if m.ID != id {
+			// A duplicate, stale, or invented answer: the peer's
+			// accounting can no longer be trusted.
+			c.requeue(j, cn.name, fmt.Sprintf("%s for cell %d while cell %d is in flight", m.Type, m.ID, id))
+			return false
+		}
+		if m.Type == distrib.TypeError {
+			// Permanent: the cell itself failed. Rerunning the same pure
+			// function on another worker cannot change the outcome, so
+			// resolve to local compute and let the caller's own error
+			// path surface it.
+			c.failed.Add(1)
+			c.logf("worker %s: cell %d failed remotely: %s; computing locally", cn.name, id, m.Error)
+			c.resolve(j, nil)
+			return true
+		}
+		c.completed.Add(1)
+		cn.stat.completed.Add(1)
+		cn.stat.busyNanos.Add(time.Since(start).Nanoseconds())
+		c.resolve(j, m.Value)
+		return true
+	case err := <-cn.readErr:
+		c.requeue(j, cn.name, err.Error())
+	case <-deadline.C:
+		c.requeue(j, cn.name, fmt.Sprintf("cell deadline (%v) exceeded", c.cfg.CellTimeout))
+	}
+	return false
+}
+
 // awaitHello enforces the handshake: exactly one hello at this build's
-// protocol version before any cell is trusted to this connection. Its
-// credits set the window, capped by MaxDepth.
+// protocol version (the frame reader rejects any other) before any cell is
+// trusted to this connection.
 func (c *Coordinator) awaitHello(cn *distConn) bool {
 	timer := time.NewTimer(c.cfg.CellTimeout)
 	defer timer.Stop()
@@ -738,26 +582,18 @@ func (c *Coordinator) awaitHello(cn *distConn) bool {
 			c.logf("worker %s: first message %q, want hello; dropping", cn.name, m.Type)
 			return false
 		}
-		if m.Version != distrib.Version {
-			c.logf("worker %s: protocol version %d, want %d; dropping", cn.name, m.Version, distrib.Version)
-			return false
-		}
-		depth := min(m.Credits, c.cfg.MaxDepth)
 		if cn.remote && m.Worker != "" {
 			cn.name = m.Worker
 		}
 		c.mu.Lock()
 		cn.helloed = true
-		cn.depth = depth
 		c.ready++
-		c.totalDepth += depth
 		st, ok := c.workers[cn.name]
 		if !ok {
 			st = &workerStat{}
 			c.workers[cn.name] = st
 		}
 		c.mu.Unlock()
-		st.depth.Store(int64(depth))
 		cn.stat = st
 		return true
 	case err := <-cn.readErr:
@@ -780,7 +616,7 @@ func (c *Coordinator) requeue(j *distJob, worker, reason string) {
 	j.attempts++
 	if j.attempts > c.cfg.Retries {
 		c.logf("cell out of retries (%d); computing locally", c.cfg.Retries)
-		c.resolve(j, distOutcome{})
+		c.resolve(j, nil)
 		return
 	}
 	c.retried.Add(1)
@@ -795,12 +631,12 @@ func (c *Coordinator) requeue(j *distJob, worker, reason string) {
 			case <-t.C:
 			case <-c.quit:
 				t.Stop()
-				c.resolve(j, distOutcome{})
+				c.resolve(j, nil)
 				return
 			}
 		}
 		if !c.enqueue(j, true) {
-			c.resolve(j, distOutcome{})
+			c.resolve(j, nil)
 		}
 	}()
 }
@@ -818,44 +654,28 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	return base + jitter
 }
 
-// exec offers one cell to the fleet and blocks until it resolves. An empty
-// outcome means the caller must compute the cell in-process — the
-// coordinator guarantees termination, not remote execution. An outcome
-// with a release hook is a steal grant: a phantom local slot claimed the
-// cell for the caller, who must call release after its local compute.
-func (c *Coordinator) exec(kind string, spec []byte) distOutcome {
+// Exec offers one cell to the fleet and blocks until it resolves.
+// ok=false means the caller must compute the cell in-process — the
+// coordinator guarantees termination, not remote execution.
+func (c *Coordinator) Exec(kind string, spec []byte) (json.RawMessage, bool) {
 	c.mu.Lock()
 	if c.draining || c.live == 0 {
 		c.mu.Unlock()
-		return distOutcome{}
+		return nil, false
 	}
 	c.execs.Add(1)
 	c.mu.Unlock()
 	defer c.execs.Done()
-	j := &distJob{kind: kind, spec: spec, done: make(chan distOutcome, 1)}
-	if !c.enqueue(j, false) {
+	j := &distJob{kind: kind, spec: spec, done: make(chan json.RawMessage, 1)}
+	var value json.RawMessage
+	if c.enqueue(j, false) {
+		value = <-j.done
+	}
+	if value == nil {
 		c.fallbacks.Add(1)
-		return distOutcome{}
-	}
-	out := <-j.done
-	if out.value == nil && out.release == nil {
-		c.fallbacks.Add(1)
-	}
-	return out
-}
-
-// Exec is the test-facing wrapper over exec: it reports ok=false for any
-// locally-computed resolution, releasing a steal grant immediately since
-// the caller owns no slot discipline.
-func (c *Coordinator) Exec(kind string, spec []byte) (json.RawMessage, bool) {
-	out := c.exec(kind, spec)
-	if out.release != nil {
-		out.release()
-	}
-	if out.value == nil {
 		return nil, false
 	}
-	return out.value, true
+	return value, true
 }
 
 // noteBadValue records a remote result that did not decode into the
@@ -888,11 +708,10 @@ func (c *Coordinator) AwaitWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// Parallelism reports how many cells the fleet can hold concurrently —
-// the sum of every ready connection's negotiated window, one for each
-// connection still in its handshake, plus the phantom local slots.
-// runIndexed widens its goroutine pool to at least this so neither remote
-// windows nor steal slots ever idle behind a narrow local -j.
+// Parallelism reports how many cells the fleet can hold concurrently: one
+// per live connection, since each holds at most one cell. runIndexed
+// widens its goroutine pool to at least this so no worker idles behind a
+// narrow local -j.
 func (c *Coordinator) Parallelism() int {
 	if c == nil {
 		return 0
@@ -902,7 +721,7 @@ func (c *Coordinator) Parallelism() int {
 	if c.draining {
 		return 0
 	}
-	return c.totalDepth + (c.live - c.ready) + c.cfg.LocalSlots
+	return c.live
 }
 
 // WorkerPIDs snapshots the live local worker process IDs (fault-injection
@@ -932,7 +751,7 @@ func (c *Coordinator) beginDrain() {
 		// Queued cells go back to their callers as local compute; their
 		// senders are blocked on done, so this is what unsticks them.
 		for _, j := range pending {
-			c.resolve(j, distOutcome{})
+			c.resolve(j, nil)
 		}
 		if c.ln != nil {
 			c.ln.Close()
@@ -972,16 +791,17 @@ type DistStats struct {
 	// results that did not decode.
 	Retried, Failed, BadValues uint64
 	// LocalFallback counts cells resolved by in-process compute after the
-	// fleet could not serve them. Stolen counts cells the phantom local
-	// slots claimed from the queue tail — local compute by choice, not
-	// failure, so they are not fallbacks.
-	LocalFallback, Stolen uint64
-	// OutOfOrder counts results that arrived ahead of an older
-	// still-outstanding cell on the same connection — pipelining visibly
-	// at work. Deduped counts suppressed duplicate enqueues (always zero
-	// unless an ownership bug was caught).
-	OutOfOrder, Deduped uint64
-	Workers             []WorkerDistStats
+	// fleet could not serve them.
+	LocalFallback uint64
+	// Stolen and OutOfOrder are always zero: the coordinator no longer
+	// steals cells for local compute, and a stop-and-wait connection
+	// cannot answer out of order. They remain until the benchmark that
+	// reads them drops them.
+	Stolen, OutOfOrder uint64
+	// Deduped counts suppressed duplicate enqueues (always zero unless an
+	// ownership bug was caught).
+	Deduped uint64
+	Workers []WorkerDistStats
 }
 
 // WorkerDistStats is one worker's share of the sweep.
@@ -990,12 +810,8 @@ type WorkerDistStats struct {
 	Completed uint64  `json:"completed"`
 	BusyMS    int64   `json:"busy_ms"`
 	CellsPerS float64 `json:"cells_per_s"`
-	// Depth is the negotiated in-flight window (credits), InFlight the
-	// cells currently unanswered, OutOfOrder the results this worker
-	// returned ahead of an older outstanding cell.
-	Depth      int    `json:"depth"`
-	InFlight   int    `json:"in_flight"`
-	OutOfOrder uint64 `json:"out_of_order"`
+	// InFlight is 1 while the worker holds a cell, else 0.
+	InFlight int `json:"in_flight"`
 }
 
 // Stats snapshots the counters (zero for a nil coordinator).
@@ -1010,8 +826,6 @@ func (c *Coordinator) Stats() DistStats {
 		Failed:        c.failed.Load(),
 		BadValues:     c.badValues.Load(),
 		LocalFallback: c.fallbacks.Load(),
-		Stolen:        c.stolen.Load(),
-		OutOfOrder:    c.outOfOrder.Load(),
 		Deduped:       c.deduped.Load(),
 	}
 	c.mu.Lock()
@@ -1023,12 +837,10 @@ func (c *Coordinator) Stats() DistStats {
 	for _, name := range names {
 		st := c.workers[name]
 		w := WorkerDistStats{
-			Name:       name,
-			Completed:  st.completed.Load(),
-			BusyMS:     st.busyNanos.Load() / 1e6,
-			Depth:      int(st.depth.Load()),
-			InFlight:   int(st.inflight.Load()),
-			OutOfOrder: st.outOfOrder.Load(),
+			Name:      name,
+			Completed: st.completed.Load(),
+			BusyMS:    st.busyNanos.Load() / 1e6,
+			InFlight:  int(st.inflight.Load()),
 		}
 		if busy := st.busyNanos.Load(); busy > 0 {
 			w.CellsPerS = float64(w.Completed) / (float64(busy) / 1e9)
@@ -1048,14 +860,8 @@ func (c *Coordinator) Summary() string {
 	s := c.Stats()
 	line := fmt.Sprintf("dist: %d dispatched, %d completed, %d retried, %d failed, %d local",
 		s.Dispatched, s.Completed, s.Retried, s.Failed, s.LocalFallback)
-	if s.Stolen > 0 {
-		line += fmt.Sprintf(", %d stolen", s.Stolen)
-	}
-	if s.OutOfOrder > 0 {
-		line += fmt.Sprintf(", %d out-of-order", s.OutOfOrder)
-	}
 	for _, w := range s.Workers {
-		line += fmt.Sprintf("; %s %d cells (%.1f/s, depth %d)", w.Name, w.Completed, w.CellsPerS, w.Depth)
+		line += fmt.Sprintf("; %s %d cells (%.1f/s)", w.Name, w.Completed, w.CellsPerS)
 	}
 	return line
 }

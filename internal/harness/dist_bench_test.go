@@ -44,31 +44,26 @@ func benchDistSweep(b *testing.B, r Runner) {
 // coordinator's fleet at 1, 2, and 4 in-process pipe workers, against the
 // serial in-process reference. The delta against serial is the whole
 // distribution tax: spec marshal, NDJSON framing, the coordinator's
-// dispatch bookkeeping, and the result's decode-and-remarshal — paid per
-// cell, amortized over that cell's simulation. The depth axis isolates the
-// pipelining win: depth 1 is stop-and-wait (one protocol round trip of
-// dead air per cell), depth 8 keeps the window full so the round trip
-// overlaps the next cell's simulation. Read the committed
-// baseline knowing the workers here share the host's cores with the
-// coordinator (pipe transport, no second machine), so on a single-core
-// host every worker count measures pure coordination overhead with no
-// parallel win available.
+// dispatch bookkeeping, one protocol round trip per cell, and the
+// result's decode-and-remarshal — paid per cell, amortized over that
+// cell's simulation. Read the numbers knowing the workers here share the
+// host's cores with the coordinator (pipe transport, no second machine),
+// so on a single-core host every worker count measures pure coordination
+// overhead with no parallel win available.
 func BenchmarkDistributedSweep(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		benchDistSweep(b, Serial)
 	})
 	for _, n := range []int{1, 2, 4} {
-		for _, depth := range []int{1, 8} {
-			b.Run("workers-"+strconv.Itoa(n)+"/depth-"+strconv.Itoa(depth), func(b *testing.B) {
-				c, _ := pipeFleetDepth(b, n, depth, testFleetConfig())
-				defer c.Close()
-				b.ResetTimer()
-				benchDistSweep(b, Runner{Dist: c})
-				b.StopTimer()
-				if st := c.Stats(); st.Completed == 0 || st.LocalFallback != 0 {
-					b.Fatalf("fleet did not serve the sweep: %+v", st)
-				}
-			})
-		}
+		b.Run("workers-"+strconv.Itoa(n), func(b *testing.B) {
+			c, _ := pipeFleet(b, n, testFleetConfig())
+			defer c.Close()
+			b.ResetTimer()
+			benchDistSweep(b, Runner{Dist: c})
+			b.StopTimer()
+			if st := c.Stats(); st.Completed == 0 || st.LocalFallback != 0 {
+				b.Fatalf("fleet did not serve the sweep: %+v", st)
+			}
+		})
 	}
 }

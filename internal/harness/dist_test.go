@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,15 +27,14 @@ type pipeWorker struct {
 
 // startPipeWorker runs ServeWorker in-process and attaches it to c. The
 // connection is registered as remote so its capacity unit is surrendered on
-// detach (matching a TCP worker's lifecycle, which has no respawn). depth
-// is the credit window the worker advertises (<=0 means the default).
-func startPipeWorker(tb testing.TB, c *Coordinator, name string, r Runner, depth int) *pipeWorker {
+// detach (matching a TCP worker's lifecycle, which has no respawn).
+func startPipeWorker(tb testing.TB, c *Coordinator, name string, r Runner) *pipeWorker {
 	tb.Helper()
 	cellR, cellW := io.Pipe()     // coordinator → worker
 	resultR, resultW := io.Pipe() // worker → coordinator
 	quit := make(chan struct{})
 	go func() {
-		ServeWorker(cellR, resultW, r, name, depth, quit, io.Discard) //nolint:errcheck // pipe teardown errors are expected
+		ServeWorker(cellR, resultW, r, name, quit, io.Discard) //nolint:errcheck // pipe teardown errors are expected
 		resultW.Close()
 	}()
 	kill := func() {
@@ -49,20 +49,13 @@ func startPipeWorker(tb testing.TB, c *Coordinator, name string, r Runner, depth
 	return &pipeWorker{crash: kill}
 }
 
-// pipeFleet builds a transport-free coordinator with n in-process workers,
-// each advertising the default credit window.
+// pipeFleet builds a transport-free coordinator with n in-process workers.
 func pipeFleet(tb testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*pipeWorker) {
-	tb.Helper()
-	return pipeFleetDepth(tb, n, 0, cfg)
-}
-
-// pipeFleetDepth is pipeFleet with an explicit per-worker credit window.
-func pipeFleetDepth(tb testing.TB, n, depth int, cfg CoordinatorConfig) (*Coordinator, []*pipeWorker) {
 	tb.Helper()
 	c := newCoordinator(cfg)
 	workers := make([]*pipeWorker, n)
 	for i := range workers {
-		workers[i] = startPipeWorker(tb, c, fmt.Sprintf("pipe-%d", i), Runner{Workers: 1}, depth)
+		workers[i] = startPipeWorker(tb, c, fmt.Sprintf("pipe-%d", i), Runner{Workers: 1})
 	}
 	if err := c.AwaitWorkers(n, 10*time.Second); err != nil {
 		tb.Fatal(err)
@@ -193,16 +186,17 @@ func attachScripted(tb testing.TB, c *Coordinator, name string, script func(rd *
 }
 
 // TestDistChaosMisbehavingWorkers pins the failure policy end to end: a
-// fleet of protocol violators — garbage replies, stale IDs, version skew,
-// missing hello, hangs — loses cells to reassignment but never loses them
-// for good, and the sweep's results still match serial exactly.
+// fleet of protocol violators — garbage replies, stale IDs, unsolicited
+// answers, version skew, a credit-window hello, missing hello, hangs —
+// loses cells to reassignment but never loses them for good, and the
+// sweep's results still match serial exactly.
 func TestDistChaosMisbehavingWorkers(t *testing.T) {
 	cfg := testFleetConfig()
 	cfg.CellTimeout = 500 * time.Millisecond // the hang worker must trip it quickly
 	c := newCoordinator(cfg)
 
 	hello := func(w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "chaos", Credits: 1}) //nolint:errcheck
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "chaos"}) //nolint:errcheck
 	}
 	// Garbage: answers its first cell with a line that is not JSON.
 	attachScripted(t, c, "garbage", func(rd *distrib.Reader, w io.Writer) {
@@ -222,13 +216,23 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 		}
 		distrib.Write(w, distrib.Msg{Type: distrib.TypeResult, ID: m.ID + 1000, Value: []byte(`{}`)}) //nolint:errcheck
 	})
-	// Skew: wrong protocol version, newer or older; must be dropped before
-	// any cell.
+	// Eager: answers a cell before it was sent one — either while idle, or
+	// with an ID other than the cell it was just handed.
+	attachScripted(t, c, "eager", func(rd *distrib.Reader, w io.Writer) {
+		hello(w)
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeResult, ID: 1, Value: []byte(`{}`)}) //nolint:errcheck
+		rd.Read()                                                                           //nolint:errcheck
+	})
+	// Skew: wrong protocol version, newer or older, or a v2 hello that
+	// still advertises a credit window; must be dropped before any cell.
 	attachScripted(t, c, "skew", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version + 1, Worker: "skew", Credits: 1}) //nolint:errcheck
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version + 1, Worker: "skew"}) //nolint:errcheck
 	})
 	attachScripted(t, c, "v1", func(rd *distrib.Reader, w io.Writer) {
 		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: 1, Worker: "v1"}) //nolint:errcheck
+	})
+	attachScripted(t, c, "v2", func(rd *distrib.Reader, w io.Writer) {
+		io.WriteString(w, `{"type":"hello","version":2,"worker":"v2","credits":8}`+"\n") //nolint:errcheck
 	})
 	// Rude: skips the handshake entirely.
 	attachScripted(t, c, "rude", func(rd *distrib.Reader, w io.Writer) {
@@ -241,7 +245,7 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 		select {} //nolint:staticcheck // deliberately wedged
 	})
 	// One honest worker keeps the fleet alive.
-	startPipeWorker(t, c, "honest", Runner{Workers: 1}, 0)
+	startPipeWorker(t, c, "honest", Runner{Workers: 1})
 
 	cfgPt := quickCfg()
 	cfgPt.Network = networks.PointToPoint
@@ -271,6 +275,12 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 	}
 	if st.Completed < 3 {
 		t.Errorf("honest worker completed %d cells, want all 3: %+v", st.Completed, st)
+	}
+	for _, w := range st.Workers {
+		switch w.Name {
+		case "skew", "v1", "v2":
+			t.Errorf("worker %s passed the handshake with a foreign hello: %+v", w.Name, w)
+		}
 	}
 }
 
@@ -340,10 +350,11 @@ func TestDistAllWorkersDeadAutoDrain(t *testing.T) {
 	c.Close()
 }
 
-// TestDistDepthSweepByteIdentity pins byte-identity across the pipelining
-// axis: every (workers, depth) combination — including depth 1,
-// stop-and-wait — renders the same CSV as serial.
-func TestDistDepthSweepByteIdentity(t *testing.T) {
+// TestDistWorkerCountByteIdentity pins byte-identity across fleet widths:
+// at 1, 2 and 4 workers a six-point panel renders the same CSV as serial,
+// the fleet is exactly as wide as its worker count, and every cell is
+// answered remotely.
+func TestDistWorkerCountByteIdentity(t *testing.T) {
 	cfg := quickCfg()
 	loads := []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03}
 	render := func(r Runner) string {
@@ -360,126 +371,106 @@ func TestDistDepthSweepByteIdentity(t *testing.T) {
 	}
 	serial := render(Serial)
 	for _, n := range []int{1, 2, 4} {
-		for _, depth := range []int{1, 4, 8} {
-			c, _ := pipeFleetDepth(t, n, depth, testFleetConfig())
-			got := render(Runner{Dist: c})
-			st := c.Stats()
-			c.Close()
-			if got != serial {
-				t.Errorf("workers=%d depth=%d: distributed CSV differs from serial", n, depth)
-			}
-			if st.Completed == 0 || st.LocalFallback != 0 || st.Failed != 0 {
-				t.Errorf("workers=%d depth=%d: unhealthy stats: %+v", n, depth, st)
-			}
-			for _, w := range st.Workers {
-				if w.Depth != depth {
-					t.Errorf("workers=%d depth=%d: worker %s negotiated depth %d", n, depth, w.Name, w.Depth)
-				}
-			}
+		c, _ := pipeFleet(t, n, testFleetConfig())
+		if p := c.Parallelism(); p != n {
+			t.Errorf("workers=%d: Parallelism = %d, want one cell per connection", n, p)
+		}
+		got := render(Runner{Dist: c})
+		st := c.Stats()
+		c.Close()
+		if got != serial {
+			t.Errorf("workers=%d: distributed CSV differs from serial", n)
+		}
+		if st.Completed != uint64(len(loads)) || st.Dispatched != st.Completed || st.LocalFallback != 0 || st.Failed != 0 {
+			t.Errorf("workers=%d: unhealthy stats: %+v", n, st)
+		}
+		if len(st.Workers) != n {
+			t.Errorf("workers=%d: stats list %d workers", n, len(st.Workers))
 		}
 	}
 }
 
-// TestDistOutOfOrderResults pins the cell-ID correlator: a worker that holds a
-// full window and answers in reverse dispatch order still resolves every
-// cell to its own caller, and the inversions are counted.
-func TestDistOutOfOrderResults(t *testing.T) {
-	const window = 3
+// TestDistOneCellPerConnection pins stop-and-wait dispatch: however many
+// callers race to Exec, a connection is never sent a second cell before it
+// has answered the first.
+func TestDistOneCellPerConnection(t *testing.T) {
 	c := newCoordinator(testFleetConfig())
-	defer c.Close()
-	attachScripted(t, c, "reverser", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "reverser", Credits: window}) //nolint:errcheck
-		var cells []distrib.Msg
-		for len(cells) < window {
-			m, err := rd.Read()
-			if err != nil {
-				return
+	var held, most atomic.Int64
+	attachScripted(t, c, "counter", func(rd *distrib.Reader, w io.Writer) {
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "counter"}) //nolint:errcheck
+		cells := make(chan distrib.Msg)
+		go func() {
+			defer close(cells)
+			for {
+				m, err := rd.Read()
+				if err != nil || m.Type != distrib.TypeCell {
+					return
+				}
+				if h := held.Add(1); h > most.Load() {
+					most.Store(h)
+				}
+				cells <- m
 			}
-			if m.Type == distrib.TypeCell {
-				cells = append(cells, m)
-			}
-		}
+		}()
 		r := Runner{Workers: 1}
-		for i := len(cells) - 1; i >= 0; i-- {
-			distrib.Write(w, executeCell(r, cells[i])) //nolint:errcheck
-		}
-		for {
-			if _, err := rd.Read(); err != nil {
-				return
-			}
+		for m := range cells {
+			reply := executeCell(r, m)
+			// Release before the write: the answer frees the connection.
+			held.Add(-1)
+			distrib.Write(w, reply) //nolint:errcheck
 		}
 	})
 	if err := c.AwaitWorkers(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	base := quickCfg()
-	base.Network = networks.PointToPoint
-	base.Pattern = traffic.Uniform{Grid: base.Params.Grid}
-	loads := []float64{0.01, 0.02, 0.04}
-	var wg sync.WaitGroup
-	errs := make([]string, window)
-	for i, load := range loads {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := base
-			cfg.Load = load
-			cfg.Seed = PointSeed(1, cfg.Network, "uniform", load)
-			value, ok := c.Exec("loadpoint", mustMarshal(t, cfg.cell()))
-			if !ok {
-				errs[i] = fmt.Sprintf("load %v: cell fell back locally", load)
-				return
-			}
-			want := mustMarshal(t, RunLoadPoint(cfg))
-			if string(value) != string(want) {
-				errs[i] = fmt.Sprintf("load %v: %s != %s", load, value, want)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != "" {
-			t.Error(e)
+	cfg := quickCfg()
+	loads := []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03}
+	panel := func(r Runner) Figure6Panel {
+		p, err := Figure6PanelWith(r, cfg, "uniform", []networks.Kind{networks.PointToPoint}, loads)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return p
 	}
+	got := mustMarshal(t, panel(Runner{Workers: 4, Dist: c}))
 	st := c.Stats()
-	if st.Completed != window {
-		t.Fatalf("completed %d cells, want %d: %+v", st.Completed, window, st)
+	c.Close()
+	if want := mustMarshal(t, panel(Serial)); string(got) != string(want) {
+		t.Errorf("panel through one stop-and-wait worker differs from serial")
 	}
-	if st.OutOfOrder != window-1 {
-		t.Errorf("OutOfOrder = %d, want %d (reverse order inverts all but the last reply): %+v",
-			st.OutOfOrder, window-1, st)
+	if st.Completed != uint64(len(loads)) {
+		t.Errorf("completed %d cells, want %d: %+v", st.Completed, len(loads), st)
+	}
+	if m := most.Load(); m != 1 {
+		t.Errorf("worker held up to %d cells at once, want 1", m)
 	}
 }
 
-// TestDistUnknownCellIDTeardown pins the credit-overflow arm: a result for
-// an ID the coordinator never dispatched tears the connection down and
-// requeues every cell in its window exactly once — the answered cell stays
-// answered, the orphaned one resolves without ever running twice.
+// TestDistUnknownCellIDTeardown pins the unknown-ID arm: a worker that
+// answers its second cell with an ID it was never sent is torn down, and
+// that cell is requeued exactly once — the answered cell stays answered,
+// the orphaned one resolves locally (the lone worker is gone) without
+// ever running twice.
 func TestDistUnknownCellIDTeardown(t *testing.T) {
-	cfg := testFleetConfig()
-	c := newCoordinator(cfg)
+	c := newCoordinator(testFleetConfig())
 	defer c.Close()
-	attachScripted(t, c, "overflow", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "overflow", Credits: 4}) //nolint:errcheck
-		var cells []distrib.Msg
-		for len(cells) < 2 {
+	attachScripted(t, c, "liar", func(rd *distrib.Reader, w io.Writer) {
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "liar"}) //nolint:errcheck
+		r := Runner{Workers: 1}
+		for answered := 0; ; {
 			m, err := rd.Read()
 			if err != nil {
 				return
 			}
-			if m.Type == distrib.TypeCell {
-				cells = append(cells, m)
+			if m.Type != distrib.TypeCell {
+				continue
 			}
-		}
-		r := Runner{Workers: 1}
-		distrib.Write(w, executeCell(r, cells[0]))                                               //nolint:errcheck
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeResult, ID: 999999, Value: []byte(`{}`)}) //nolint:errcheck
-		for {
-			if _, err := rd.Read(); err != nil {
-				return
+			if answered == 0 {
+				distrib.Write(w, executeCell(r, m)) //nolint:errcheck
+			} else {
+				distrib.Write(w, distrib.Msg{Type: distrib.TypeResult, ID: 999999, Value: []byte(`{}`)}) //nolint:errcheck
 			}
+			answered++
 		}
 	})
 	if err := c.AwaitWorkers(1, 10*time.Second); err != nil {
@@ -526,67 +517,11 @@ func TestDistUnknownCellIDTeardown(t *testing.T) {
 		t.Errorf("want exactly 1 remote + 1 local resolution, got %d remote / %d local: %+v", remote, local, c.Stats())
 	}
 	st := c.Stats()
-	if st.Completed != 1 {
-		t.Errorf("Completed = %d, want 1: %+v", st.Completed, st)
+	if st.Completed != 1 || st.Dispatched != 2 || st.Retried != 1 {
+		t.Errorf("want 2 dispatched, 1 completed, 1 retried: %+v", st)
 	}
 	if st.Deduped != 0 {
 		t.Errorf("Deduped = %d, want 0 (no duplicate enqueue should ever fire): %+v", st.Deduped, st)
-	}
-}
-
-// TestDistLocalStealing pins the phantom-worker arm: with LocalSlots
-// configured and a slow fleet, local cores steal cells from the queue
-// tail, the steals are counted separately from fallbacks, and the output
-// stays byte-identical.
-func TestDistLocalStealing(t *testing.T) {
-	cfg := testFleetConfig()
-	cfg.LocalSlots = 4
-	c := newCoordinator(cfg)
-	// One deliberately slow worker: correct answers, one credit, a pause
-	// per cell — the backlog the steal slots exist to absorb.
-	attachScripted(t, c, "slow", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: "slow", Credits: 1}) //nolint:errcheck
-		r := Runner{Workers: 1}
-		for {
-			m, err := rd.Read()
-			if err != nil || m.Type == distrib.TypeShutdown {
-				return
-			}
-			if m.Type == distrib.TypeCell {
-				time.Sleep(30 * time.Millisecond)
-				distrib.Write(w, executeCell(r, m)) //nolint:errcheck
-			}
-		}
-	})
-	if err := c.AwaitWorkers(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	cfgPt := quickCfg()
-	render := func(r Runner) string {
-		panel, err := Figure6PanelWith(r, cfgPt, "uniform",
-			[]networks.Kind{networks.PointToPoint}, []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := WriteFigure6CSV(&b, panel); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial := render(Serial)
-	got := render(Runner{Dist: c})
-	st := c.Stats()
-	c.Close()
-	if got != serial {
-		t.Errorf("stealing sweep CSV differs from serial\nserial:\n%s\ngot:\n%s", serial, got)
-	}
-	if st.Stolen == 0 {
-		t.Errorf("no cells stolen despite 4 local slots against a slow worker: %+v", st)
-	}
-	if st.Failed != 0 || st.Retried != 0 {
-		t.Errorf("stealing fleet should be failure-free: %+v", st)
 	}
 }
 
@@ -600,45 +535,21 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return data
 }
 
-// TestCellSpecsRoundTrip pins that every cell kind's wire spec round-trips
-// through JSON into a config whose execution matches the direct in-process
-// call — the worker side of the byte-identity argument. The traffic
-// pattern travels by Name and is rebuilt via traffic.ByName; everything
-// else travels by value.
-func TestCellSpecsRoundTrip(t *testing.T) {
-	run := func(spec interface{ kind() string }) []byte {
-		t.Helper()
-		data, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := RunCell(Serial, spec.kind(), data)
-		if err != nil {
-			t.Fatalf("RunCell(%s): %v", spec.kind(), err)
-		}
-		out, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	mustJSON := func(v any) []byte {
-		t.Helper()
-		out, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
+// specCase is one wire spec and the direct in-process call it must match.
+type specCase struct {
+	spec interface{ kind() string }
+	want func() (any, error)
+}
 
+// specCases returns one spec of every cell kind, built from the quick test
+// configs. TestCellSpecsRoundTrip runs them and FuzzCellSpec seeds from
+// them.
+func specCases() []specCase {
 	lp := quickCfg()
 	lp.Network = networks.PointToPoint
 	lp.Pattern = traffic.Uniform{Grid: lp.Params.Grid}
 	lp.Load = 0.02
 	lp.Seed = PointSeed(1, lp.Network, "uniform", lp.Load)
-	if got, want := run(lp.cell()), mustJSON(RunLoadPoint(lp)); string(got) != string(want) {
-		t.Errorf("loadpoint round-trip: %s != %s", got, want)
-	}
 
 	bench := workload.All(lp.Params.Grid, workload.Scale(0.01))[0]
 	seed := CellSeed(1, bench.Name, networks.PointToPoint)
@@ -651,9 +562,6 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		InstrPerCore: bench.InstrPerCore,
 		Network:      networks.PointToPoint,
 		Seed:         seed,
-	}
-	if got, want := run(bc), mustJSON(RunBenchmark(bench, networks.PointToPoint, lp.Params, seed)); string(got) != string(want) {
-		t.Errorf("benchcell round-trip: %s != %s", got, want)
 	}
 
 	rc := quickResilienceCfg()
@@ -670,16 +578,9 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		Retry:       rc.Retry,
 		Seed:        rc.Seed,
 	}
-	if got, want := run(res), mustJSON(RunResiliencePoint(rc, networks.PointToPoint, fault.DarkLaser, 80)); string(got) != string(want) {
-		t.Errorf("resilience round-trip: %s != %s", got, want)
-	}
 
 	ic := QuickInferenceConfig()
 	graph := opgraph.PresetNames()[0]
-	wantPt, err := RunInferencePoint(ic, networks.PointToPoint, graph, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inf := inference{
 		Params:      ic.Params,
 		Network:     networks.PointToPoint,
@@ -692,8 +593,38 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		FaultWrap:   ic.FaultWrap,
 		Seed:        ic.Seed,
 	}
-	if got, want := run(inf), mustJSON(wantPt); string(got) != string(want) {
-		t.Errorf("inference round-trip: %s != %s", got, want)
+
+	return []specCase{
+		{lp.cell(), func() (any, error) { return RunLoadPoint(lp), nil }},
+		{bc, func() (any, error) { return RunBenchmark(bench, networks.PointToPoint, lp.Params, seed), nil }},
+		{res, func() (any, error) { return RunResiliencePoint(rc, networks.PointToPoint, fault.DarkLaser, 80), nil }},
+		{inf, func() (any, error) { return RunInferencePoint(ic, networks.PointToPoint, graph, 1, 16) }},
+	}
+}
+
+// TestCellSpecsRoundTrip pins that every cell kind's wire spec round-trips
+// through JSON into a config whose execution matches the direct in-process
+// call — the worker side of the byte-identity argument. The traffic
+// pattern travels by Name and is rebuilt via traffic.ByName; everything
+// else travels by value.
+func TestCellSpecsRoundTrip(t *testing.T) {
+	cases := specCases()
+	if len(cases) != len(wireCells) {
+		t.Fatalf("%d spec cases for %d wire kinds", len(cases), len(wireCells))
+	}
+	for _, sc := range cases {
+		kind := sc.spec.kind()
+		v, err := RunCell(Serial, kind, mustMarshal(t, sc.spec))
+		if err != nil {
+			t.Fatalf("RunCell(%s): %v", kind, err)
+		}
+		want, err := sc.want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustMarshal(t, v), mustMarshal(t, want); string(got) != string(want) {
+			t.Errorf("%s round-trip: %s != %s", kind, got, want)
+		}
 	}
 }
 

@@ -70,9 +70,8 @@ type Replay struct {
 	finish         sim.Time
 	started        bool
 
-	// free recycles delivered packets (retry-free runs only, like
-	// traffic.OpenLoop's list: a retried packet delivers to its segment,
-	// not to the transfer, and is allocated fresh).
+	// free recycles delivered packets: every send takes one from here, and
+	// every delivery (to a transfer, or to a retried segment) returns it.
 	free []*core.Packet
 }
 
@@ -247,21 +246,28 @@ func (r *Replay) edgeDone(to int, _ sim.Time) {
 // timeout/retransmit chain when a retry policy is set.
 func (r *Replay) sendPacket(t *transfer, bytes int) {
 	if !r.Retry.Enabled() {
-		p := r.getPacket()
-		p.Src, p.Dst = t.src, t.dst
-		p.Bytes = bytes
-		p.Class = t.class
-		p.Deliver = t
-		r.Net.Inject(p)
+		r.inject(t, bytes, t)
 		return
 	}
 	(&segment{t: t, bytes: bytes}).send()
 }
 
+// inject sends one packet of a transfer from the free list to deliver.
+func (r *Replay) inject(t *transfer, bytes int, deliver core.DeliverHandler) {
+	p := r.getPacket()
+	p.Src, p.Dst = t.src, t.dst
+	p.Bytes = bytes
+	p.Class = t.class
+	p.Deliver = deliver
+	r.Net.Inject(p)
+}
+
 // segment is a retried packet of a transfer: the Deliver handler of every
-// attempt and the one pending timeout. It must settle exactly once (twice
-// would unblock the DAG twice), so unlike traffic.OpenLoop's per-attempt
-// flights, all attempts share it: whichever copy lands first settles it.
+// attempt and the one pending timeout, so a retried segment allocates this
+// struct only. It must settle exactly once (twice would unblock the DAG
+// twice), so unlike traffic.OpenLoop's per-attempt flights, all attempts
+// share it: whichever copy lands first settles it, and every copy that
+// lands goes back to the free list.
 type segment struct {
 	t       *transfer
 	bytes   int
@@ -271,17 +277,21 @@ type segment struct {
 
 // send injects the current attempt and arms its timeout.
 func (s *segment) send() {
-	t, r := s.t, s.t.r
-	r.Net.Inject(&core.Packet{Src: t.src, Dst: t.dst, Bytes: s.bytes, Class: t.class, Deliver: s})
+	r := s.t.r
+	r.inject(s.t, s.bytes, s)
 	r.Eng.ScheduleCall(core.Backoff(r.Retry.Timeout, s.attempt, r.retryRNG), s, sim.EventArg{})
 }
 
 func (s *segment) OnDeliver(p *core.Packet, at sim.Time) {
-	if !s.settled {
-		s.settled = true
-		s.t.r.bytesMoved += uint64(p.Bytes)
-		s.t.settle(at)
+	r := s.t.r
+	bytes := p.Bytes
+	r.recycle(p)
+	if s.settled {
+		return
 	}
+	s.settled = true
+	r.bytesMoved += uint64(bytes)
+	s.t.settle(at)
 }
 
 // OnEvent is the current attempt's timeout: retransmit or, past the
@@ -314,9 +324,8 @@ func (r *Replay) getPacket() *core.Packet {
 	return &core.Packet{}
 }
 
-// recycle returns a delivered packet to the free list (retry-free runs;
-// the transfer handler is the packet's last holder under the delivery
-// contract).
+// recycle returns a delivered packet to the free list (its delivery
+// handler is the packet's last holder under the delivery contract).
 func (r *Replay) recycle(p *core.Packet) {
 	p.Deliver = nil
 	r.free = append(r.free, p)

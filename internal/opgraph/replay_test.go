@@ -6,6 +6,7 @@ import (
 
 	"macrochip/internal/core"
 	"macrochip/internal/fault"
+	"macrochip/internal/geometry"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
 	"macrochip/internal/sim"
@@ -263,6 +264,42 @@ func TestReplayRetryAllocsPerAttempt(t *testing.T) {
 	const extra = 16
 	if per := (allocs(extra) - allocs(0)) / extra; per > 2 {
 		t.Fatalf("retried opgraph segment attempt allocated %.2f, want ≤ 2 (packet + segment)", per)
+	}
+}
+
+func TestReplayRetryRecyclesDeliveredPackets(t *testing.T) {
+	// With a retry policy on a network that delivers every packet, every
+	// delivered copy returns to the free list through its segment, so a
+	// packet allocates only its segment once the list has filled. Measured
+	// as the marginal allocations of more packets per edge on the same
+	// chain, which leaves the per-op set-up cost out.
+	const links = 128
+	chain := func(packetsPerEdge int) *opgraph.Graph {
+		g := &opgraph.Graph{Name: "chain"}
+		for i := 0; i <= links; i++ {
+			g.Ops = append(g.Ops, opgraph.Op{Kind: opgraph.Pointwise, Site: geometry.SiteID(i % 2), Compute: 10})
+			if i > 0 {
+				g.Edges = append(g.Edges, opgraph.Edge{From: i - 1, To: i, Bytes: 64 * packetsPerEdge})
+			}
+		}
+		g.MTU = 64
+		return g
+	}
+	retry := traffic.RetryPolicy{Timeout: 100 * sim.Microsecond, MaxRetries: 1}
+	allocs := func(packetsPerEdge int) float64 {
+		g := chain(packetsPerEdge)
+		res, stats := runGraph(t, networks.PointToPoint, g, 1, retry)
+		if res.Stalled || res.OpsDone != links+1 || stats.Delivered != uint64(links*packetsPerEdge) || stats.Retries != 0 {
+			t.Fatalf("%d packets per edge: %+v, %d delivered, %d retries", packetsPerEdge, res, stats.Delivered, stats.Retries)
+		}
+		return testing.AllocsPerRun(20, func() { runGraph(t, networks.PointToPoint, g, 1, retry) })
+	}
+	// The first edge's packets fill the list, and the event slab and
+	// channel queues grow to the wider edges once; both amortize to a few
+	// hundredths per packet.
+	const few, many = 1, 5
+	if per := (allocs(many) - allocs(few)) / (links * (many - few)); per > 1.1 {
+		t.Fatalf("retried segment allocated %.2f per delivered packet, want ≤ 1 (the segment)", per)
 	}
 }
 

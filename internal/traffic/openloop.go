@@ -50,14 +50,12 @@ type OpenLoop struct {
 	// retryRNG jitters retransmission backoff; derived from Seed at Start.
 	retryRNG *sim.RNG
 
-	// free recycles delivered packets for retry-free runs: the recycler
-	// handler (the packet's last holder under the delivery contract) pushes
-	// each delivered packet here and send pops instead of allocating, so
-	// the steady-state inject→deliver cycle allocates nothing. Unused when
-	// Retry is enabled: each attempt's packet delivers to its flight, not
-	// to the recycler, and is allocated fresh. Packets lost to injected
-	// faults simply never return to the list; correctness never depends
-	// on its size.
+	// free recycles delivered packets: the delivery handler (the packet's
+	// last holder under the delivery contract) pushes each delivered
+	// packet here and send pops instead of allocating, so the steady-state
+	// inject→deliver cycle allocates nothing but, with Retry, the
+	// attempt's flight. Packets lost to injected faults simply never
+	// return to the list; correctness never depends on its size.
 	free []*core.Packet
 }
 
@@ -107,24 +105,26 @@ func (s *source) OnEvent(e *sim.Engine, _ sim.EventArg) {
 // send injects one packet, arming the delivery-timeout/retransmit chain
 // when a retry policy is set.
 func (o *OpenLoop) send(src, dst geometry.SiteID, attempt int) {
+	p := o.getPacket()
+	p.Src, p.Dst = src, dst
+	p.Bytes = o.PacketBytes
+	p.Class = core.ClassData
 	if !o.Retry.Enabled() {
-		p := o.getPacket()
-		p.Src, p.Dst = src, dst
-		p.Bytes = o.PacketBytes
-		p.Class = core.ClassData
 		p.Deliver = (*recycler)(o)
 		o.Net.Inject(p)
 		return
 	}
 	f := &flight{o: o, src: src, dst: dst, attempt: attempt}
-	o.Net.Inject(&core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData, Deliver: f})
+	p.Deliver = f
+	o.Net.Inject(p)
 	o.Eng.ScheduleCall(core.Backoff(o.Retry.Timeout, attempt, o.retryRNG), f, sim.EventArg{})
 }
 
 // flight is one attempt of a retried packet: its Deliver handler and its
-// delivery-timeout event, so an attempt allocates the packet and this
-// struct only. Each attempt has its own flag, so a late delivery of
-// attempt k does not cancel attempt k+1's timer.
+// delivery-timeout event, so an attempt allocates this struct only (its
+// packet comes from the free list and returns there on delivery). Each
+// attempt has its own flag, so a late delivery of attempt k does not
+// cancel attempt k+1's timer.
 type flight struct {
 	o         *OpenLoop
 	src, dst  geometry.SiteID
@@ -132,7 +132,10 @@ type flight struct {
 	delivered bool
 }
 
-func (f *flight) OnDeliver(*core.Packet, sim.Time) { f.delivered = true }
+func (f *flight) OnDeliver(p *core.Packet, at sim.Time) {
+	f.delivered = true
+	(*recycler)(f.o).OnDeliver(p, at)
+}
 
 // OnEvent is the attempt's timeout: retransmit or, past the budget, abort.
 func (f *flight) OnEvent(*sim.Engine, sim.EventArg) {

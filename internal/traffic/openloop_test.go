@@ -229,11 +229,11 @@ func TestOpenLoopSteadyStateAllocs(t *testing.T) {
 }
 
 func TestOpenLoopRecyclingPreservesResults(t *testing.T) {
-	// The free list must be invisible in the statistics: a retry-free run
-	// (recycled packets) and a retry-enabled run on a lossless, unsaturated
-	// network (every packet freshly allocated, since retries retain
-	// references; the generous timeout never fires) inject the same stream
-	// and deliver with identical latency totals.
+	// Delivery handlers must be invisible in the statistics: a retry-free
+	// run (packets deliver to the recycler) and a retry-enabled run on a
+	// lossless, unsaturated network (packets deliver to their flights,
+	// which recycle them; the generous timeout never fires) inject the
+	// same stream and deliver with identical latency totals.
 	run := func(retry traffic.RetryPolicy) (uint64, sim.Time, sim.Time) {
 		eng := sim.NewEngine()
 		p := core.DefaultParams()
@@ -251,9 +251,49 @@ func TestOpenLoopRecyclingPreservesResults(t *testing.T) {
 		return st.Delivered, st.MeanLatency(), st.MaxLatency()
 	}
 	dFree, meanFree, maxFree := run(traffic.RetryPolicy{})
-	dAlloc, meanAlloc, maxAlloc := run(traffic.RetryPolicy{Timeout: 100 * sim.Microsecond, MaxRetries: 1})
-	if dFree != dAlloc || meanFree != meanAlloc || maxFree != maxAlloc {
-		t.Fatalf("recycled run (%d, %v, %v) != allocating run (%d, %v, %v)",
-			dFree, meanFree, maxFree, dAlloc, meanAlloc, maxAlloc)
+	dRetry, meanRetry, maxRetry := run(traffic.RetryPolicy{Timeout: 100 * sim.Microsecond, MaxRetries: 1})
+	if dFree != dRetry || meanFree != meanRetry || maxFree != maxRetry {
+		t.Fatalf("retry-free run (%d, %v, %v) != retry run (%d, %v, %v)",
+			dFree, meanFree, maxFree, dRetry, meanRetry, maxRetry)
+	}
+}
+
+func TestOpenLoopRetryRecyclesDeliveredPackets(t *testing.T) {
+	// With a retry policy on a network that delivers every packet, each
+	// delivered packet returns to the free list through its flight, so the
+	// steady-state cycle allocates only the flight per packet.
+	eng := sim.NewEngine()
+	p := core.DefaultParams()
+	st := core.NewStats(0)
+	net := ptp.New(eng, p, st)
+	gen := &traffic.OpenLoop{
+		Eng: eng, Params: p, Net: net,
+		Pattern: traffic.Uniform{Grid: p.Grid},
+		Load:    0.10, PacketBytes: 64,
+		Until: 100 * sim.Microsecond, Seed: 17,
+		Retry: traffic.RetryPolicy{Timeout: 100 * sim.Microsecond, MaxRetries: 1},
+	}
+	gen.Start()
+	var next sim.Time
+	window := 200 * sim.Nanosecond
+	step := func() {
+		next += window
+		eng.RunUntil(next)
+	}
+	for i := 0; i < 20; i++ { // warm up: queue capacity + free-list fill
+		step()
+	}
+	const runs = 100
+	before := st.Delivered
+	allocs := testing.AllocsPerRun(runs, step)
+	delivered := float64(st.Delivered-before) / (runs + 1) // AllocsPerRun steps once more to warm up
+	if delivered == 0 {
+		t.Fatal("no traffic flowed during the measurement windows")
+	}
+	if st.Retries != 0 {
+		t.Fatalf("lossless network retried %d packets", st.Retries)
+	}
+	if per := allocs / delivered; per > 1.05 {
+		t.Fatalf("retried open loop allocated %.2f per delivered packet, want ≤ 1 (the flight)", per)
 	}
 }

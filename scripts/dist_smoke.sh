@@ -6,14 +6,16 @@
 # figure-6 panel (uniform pattern, point-to-point network, quick windows)
 # serially as the reference, then three distributed ways:
 #
-#   1. two spawned pipe workers at depth 1 (stop-and-wait)
-#   2. two spawned pipe workers at depth 8 (the pipelined credit window)
-#   3. one TCP worker (`macrosim -connect`) against a listening coordinator
+#   1. two spawned pipe workers (-dist-workers 2)
+#   2. one TCP worker (`macrosim -connect`) against a listening coordinator
+#   3. a mixed fleet: one spawned pipe worker beside the listener
+#      (-dist-workers 1 -dist-addr) plus one TCP worker
 #
 # Every run gets its own fresh cache directory and every CSV must be
 # byte-identical to the serial one. Each coordinator's stderr summary must
 # show cells actually completed by the fleet, so the comparison cannot
-# silently pass by never distributing.
+# silently pass by never distributing; in the mixed run both the spawned
+# worker and the TCP worker must have completed cells.
 set -eu
 
 GO=${GO:-go}
@@ -56,59 +58,74 @@ require_completed() {
     echo "$n"
 }
 
+# worker_cells <stderr file> <name pattern>: the cells the summary credits
+# to the first worker whose name matches, e.g. "; proc-0 7 cells (...)".
+worker_cells() {
+    sed -n "s/.*; \($2\) \([0-9]*\) cells.*/\2/p" "$1" | head -n 1
+}
+
+# run_with_tcp_worker <run name> <figures flags...>: runs figures with a
+# listener on an ephemeral port in the background, dials one
+# `macrosim -connect` worker into it once the address is announced, and
+# waits for both.
+run_with_tcp_worker() {
+    name=$1
+    shift
+    run_figures "$tmp/$name" "$tmp/cache-$name" -dist-addr 127.0.0.1:0 "$@" &
+    figures_pid=$!
+
+    addr=
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's/.*listening for workers on \([0-9.]*:[0-9]*\).*/\1/p' \
+            "$tmp/$name.stderr" 2>/dev/null || true)
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    if [ -z "$addr" ]; then
+        kill "$figures_pid" 2>/dev/null || true
+        echo "dist-smoke: $name coordinator never announced its listen address" >&2
+        cat "$tmp/$name.stderr" >&2 2>/dev/null || true
+        exit 1
+    fi
+
+    "$tmp/macrosim" -connect "$addr" -cache-dir "$tmp/cache-$name-worker" \
+        >"$tmp/$name-worker.log" 2>&1 &
+    worker_pid=$!
+
+    if ! wait "$figures_pid"; then
+        kill "$worker_pid" 2>/dev/null || true
+        echo "dist-smoke: $name coordinator run failed" >&2
+        cat "$tmp/$name.stderr" >&2
+        exit 1
+    fi
+    wait "$worker_pid" 2>/dev/null || true
+}
+
 run_figures "$tmp/serial" "$tmp/cache-serial"
 
-# Pipe transport: spawned workers at both ends of the depth axis.
-for depth in 1 8; do
-    run_figures "$tmp/dist-d$depth" "$tmp/cache-d$depth" \
-        -dist-workers 2 -dist-exec "$tmp/macrosim" -dist-wait 2 \
-        -dist-depth "$depth"
-    require_identical "$tmp/dist-d$depth" "depth-$depth"
-    done_cells=$(require_completed "$tmp/dist-d$depth.stderr" "depth $depth")
-    # The summary's per-worker lines pin that the fleet really negotiated
-    # the requested window, not a silently clamped one.
-    grep -q "depth $depth" "$tmp/dist-d$depth.stderr" || {
-        echo "dist-smoke: summary does not show negotiated depth $depth" >&2
-        cat "$tmp/dist-d$depth.stderr" >&2
-        exit 1
-    }
-    eval "completed_d$depth=\$done_cells"
-done
+# Pipe transport: two spawned workers.
+run_figures "$tmp/pipe" "$tmp/cache-pipe" \
+    -dist-workers 2 -dist-exec "$tmp/macrosim" -dist-wait 2
+require_identical "$tmp/pipe" "pipe"
+completed_pipe=$(require_completed "$tmp/pipe.stderr" "pipe")
 
-# TCP transport: the coordinator listens on an ephemeral port, a remote
-# worker dials in. -dist-local -1 turns local steal slots off so every cell
-# demonstrably crosses the socket.
-run_figures "$tmp/dist-tcp" "$tmp/cache-tcp" \
-    -dist-addr 127.0.0.1:0 -dist-wait 1 -dist-local -1 -dist-depth 8 &
-figures_pid=$!
+# TCP transport: the coordinator listens, one remote worker dials in, and
+# every cell crosses the socket.
+run_with_tcp_worker tcp -dist-wait 1
+require_identical "$tmp/tcp" "TCP"
+completed_tcp=$(require_completed "$tmp/tcp.stderr" "TCP")
 
-addr=
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/.*listening for workers on \([0-9.]*:[0-9]*\).*/\1/p' \
-        "$tmp/dist-tcp.stderr" 2>/dev/null || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    kill "$figures_pid" 2>/dev/null || true
-    echo "dist-smoke: coordinator never announced its listen address" >&2
-    cat "$tmp/dist-tcp.stderr" >&2 2>/dev/null || true
+# Mixed fleet: the operator recipe for using the coordinator's own cores
+# next to remote ones — -dist-workers beside -dist-addr.
+run_with_tcp_worker mixed -dist-workers 1 -dist-exec "$tmp/macrosim" -dist-wait 2
+require_identical "$tmp/mixed" "mixed"
+completed_mixed=$(require_completed "$tmp/mixed.stderr" "mixed")
+proc_cells=$(worker_cells "$tmp/mixed.stderr" 'proc-[0-9]*')
+tcp_cells=$(worker_cells "$tmp/mixed.stderr" 'macrosim-[0-9]*')
+if [ -z "$proc_cells" ] || [ "$proc_cells" -eq 0 ] || [ -z "$tcp_cells" ] || [ "$tcp_cells" -eq 0 ]; then
+    echo "dist-smoke: mixed fleet did not use both workers (spawned: ${proc_cells:-0}, TCP: ${tcp_cells:-0})" >&2
+    cat "$tmp/mixed.stderr" >&2
     exit 1
 fi
 
-"$tmp/macrosim" -connect "$addr" -cache-dir "$tmp/cache-tcp-worker" \
-    >"$tmp/worker-tcp.log" 2>&1 &
-worker_pid=$!
-
-if ! wait "$figures_pid"; then
-    kill "$worker_pid" 2>/dev/null || true
-    echo "dist-smoke: TCP coordinator run failed" >&2
-    cat "$tmp/dist-tcp.stderr" >&2
-    exit 1
-fi
-wait "$worker_pid" 2>/dev/null || true
-
-require_identical "$tmp/dist-tcp" "TCP"
-completed_tcp=$(require_completed "$tmp/dist-tcp.stderr" "TCP")
-
-echo "dist-smoke: ok (pipe depth 1: $completed_d1 cells, depth 8: $completed_d8 cells, TCP: $completed_tcp cells, all byte-identical CSV)"
+echo "dist-smoke: ok (pipe: $completed_pipe cells, TCP: $completed_tcp cells, mixed: $completed_mixed cells = $proc_cells spawned + $tcp_cells TCP, all byte-identical CSV)"
